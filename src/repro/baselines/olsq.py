@@ -57,14 +57,12 @@ class OlsqStyleRouter(Router):
 
         sat = create_solver()
         sat.ensure_vars(encoding.builder.num_vars)
-        for clause in encoding.builder.hard:
-            sat.add_clause(clause)
-        loaded_hard = len(encoding.builder.hard)
+        sat.add_clause_buffer(encoding.builder.hard_buffer())
+        loaded_hard = encoding.builder.hard_words
 
         totalizer = Totalizer(encoding.builder, swap_indicator)
         sat.ensure_vars(encoding.builder.num_vars)
-        for clause in encoding.builder.hard[loaded_hard:]:
-            sat.add_clause(clause)
+        sat.add_clause_buffer(encoding.builder.hard_buffer(loaded_hard))
 
         max_bound = self.max_bound
         if max_bound is None:

@@ -25,6 +25,7 @@ sequences, matching the size the paper reports for its "only-one" encoding.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import QuantumCircuit
@@ -158,9 +159,10 @@ class QmrEncoder:
         """Encode ``circuit`` (its two-qubit interaction sequence) as MaxSAT.
 
         With a ``sink`` (a :class:`~repro.sat.session.ClauseSink`, typically a
-        live :class:`~repro.sat.session.SatSession`), every hard clause is
-        streamed into it the moment it is produced, so by the time this
-        method returns the attached solver already holds the formula.
+        live :class:`~repro.sat.session.SatSession`), each component's hard
+        clauses are streamed into it as one clause buffer as soon as the
+        component is encoded, so by the time this method returns the
+        attached solver already holds the formula.
 
         Interaction extraction reads the circuit IR's two-qubit columns
         directly (O(#interactions), no gate-list rescans), so slice views
@@ -205,7 +207,7 @@ class QmrEncoder:
         # step 0 itself is the initial map.
         root_step = -1 if options.leading_swap_slot else 0
         if root_step == -1:
-            self._encode_injectivity_at_index(encoding, -1)
+            self._encode_injectivity(encoding, -1)
         for step in range(len(steps)):
             self._encode_injectivity(encoding, step)
         self._encode_totality(encoding, step=root_step)
@@ -236,37 +238,42 @@ class QmrEncoder:
         return steps, step_of_gate
 
     # ------------------------------------------------------------ components
+    #
+    # Every component appends its clauses to one word list in clause-buffer
+    # layout ([n, l1 .. ln, ...], see repro.sat.clausebuf) and hands it to
+    # the builder -- and through it to an attached session -- in one call.
+    # Map variables are read through per-step rows, and the clause order and
+    # variable numbering are exactly those of a clause-at-a-time encoder.
 
     def _encode_single_free_map(self, encoding: QmrEncoding) -> None:
         """Degenerate case: only constrain one injective, total map at step 0."""
         encoding.steps = []
-        builder = encoding.builder
-        registry = encoding.registry
-        architecture = encoding.architecture
-        for logical in range(encoding.num_logical):
-            placements = [registry.map_var(logical, physical, 0)
-                          for physical in range(architecture.num_qubits)]
-            builder.add_hard(placements)
-            self._at_most_one(builder, placements)
-        for physical in range(architecture.num_qubits):
-            occupants = [registry.map_var(logical, physical, 0)
-                         for logical in range(encoding.num_logical)]
-            self._at_most_one(builder, occupants)
+        self._encode_injectivity(encoding, 0, total=True)
         self._encode_initial_mapping(encoding)
 
-    def _encode_injectivity(self, encoding: QmrEncoding, step: int) -> None:
-        """Hard A: at every step each map is an injective partial function."""
+    def _encode_injectivity(self, encoding: QmrEncoding, step: int,
+                            total: bool = False) -> None:
+        """Hard A: the map at ``step`` is an injective partial function.
+
+        With ``total`` every logical qubit must also be placed somewhere.
+        Map rows are created logical qubit by logical qubit, each followed by
+        its at-most-one constraint, which fixes the variable numbering.
+        """
         builder = encoding.builder
         registry = encoding.registry
-        architecture = encoding.architecture
+        num_physical = encoding.architecture.num_qubits
+        words: list[int] = []
+        rows = []
         for logical in range(encoding.num_logical):
-            placements = [registry.map_var(logical, physical, step)
-                          for physical in range(architecture.num_qubits)]
-            self._at_most_one(builder, placements)
-        for physical in range(architecture.num_qubits):
-            occupants = [registry.map_var(logical, physical, step)
-                         for logical in range(encoding.num_logical)]
-            self._at_most_one(builder, occupants)
+            row = registry.map_row(logical, step, num_physical)
+            rows.append(row)
+            if total:
+                words.append(num_physical)
+                words.extend(row)
+            self._at_most_one(builder, row, words)
+        for physical in range(num_physical):
+            self._at_most_one(builder, [row[physical] for row in rows], words)
+        builder.add_clause_buffer(array("i", words))
 
     def _encode_totality(self, encoding: QmrEncoding, step: int) -> None:
         """Every logical qubit is placed somewhere at ``step``.
@@ -275,25 +282,29 @@ class QmrEncoder:
         sequence total, so extraction never has to invent placements for
         qubits that participate in gates.
         """
-        builder = encoding.builder
         registry = encoding.registry
+        num_physical = encoding.architecture.num_qubits
+        words: list[int] = []
         for logical in range(encoding.num_logical):
-            builder.add_hard([registry.map_var(logical, physical, step)
-                              for physical in range(encoding.architecture.num_qubits)])
+            words.append(num_physical)
+            words.extend(registry.map_row(logical, step, num_physical))
+        encoding.builder.add_clause_buffer(array("i", words))
 
     def _encode_gate_adjacency(self, encoding: QmrEncoding, step: int,
                                first: int, second: int) -> None:
         """Hard B: the gate's qubits sit on adjacent physical qubits at its step."""
-        builder = encoding.builder
         registry = encoding.registry
         architecture = encoding.architecture
+        num_physical = architecture.num_qubits
+        words: list[int] = []
         for logical, other in ((first, second), (second, first)):
-            for physical in range(architecture.num_qubits):
+            row = registry.map_row(logical, step, num_physical)
+            other_row = registry.map_row(other, step, num_physical)
+            for physical in range(num_physical):
                 neighbors = architecture.neighbors_sorted(physical)
-                clause = [-registry.map_var(logical, physical, step)]
-                clause.extend(registry.map_var(other, neighbor, step)
-                              for neighbor in neighbors)
-                builder.add_hard(clause)
+                words += (len(neighbors) + 1, -row[physical])
+                words.extend([other_row[neighbor] for neighbor in neighbors])
+        encoding.builder.add_clause_buffer(array("i", words))
 
     def _encode_swap_slots(self, encoding: QmrEncoding) -> None:
         """Hard C and Hard D for every SWAP slot between consecutive steps."""
@@ -319,8 +330,6 @@ class QmrEncoder:
     def _encode_one_transition(self, encoding: QmrEncoding, previous_step: int,
                                current_step: int, num_slots: int) -> None:
         """Slots between ``previous_step`` and ``current_step`` (chained if > 1)."""
-        architecture = encoding.architecture
-        options = encoding.options
         # Intermediate maps are represented as fractional pseudo-steps encoded
         # with dedicated step indices only when n > 1; for n == 1 the slot
         # connects the two real steps directly.
@@ -329,28 +338,12 @@ class QmrEncoder:
             source = previous_step if slot == 0 else self._pseudo_step(encoding, current_step, slot - 1)
             target = current_step if is_last_slot else self._pseudo_step(encoding, current_step, slot)
             if not is_last_slot:
-                self._encode_injectivity_pseudo(encoding, target)
+                self._encode_injectivity(encoding, target)
             self._encode_slot(encoding, source, target, current_step, slot)
 
     def _pseudo_step(self, encoding: QmrEncoding, step: int, slot: int) -> int:
         """Step index used for intermediate maps when ``swaps_per_gate > 1``."""
         return (step + 1) * 10_000 + slot
-
-    def _encode_injectivity_pseudo(self, encoding: QmrEncoding, step: int) -> None:
-        self._encode_injectivity_at_index(encoding, step)
-
-    def _encode_injectivity_at_index(self, encoding: QmrEncoding, step: int) -> None:
-        builder = encoding.builder
-        registry = encoding.registry
-        architecture = encoding.architecture
-        for logical in range(encoding.num_logical):
-            placements = [registry.map_var(logical, physical, step)
-                          for physical in range(architecture.num_qubits)]
-            self._at_most_one(builder, placements)
-        for physical in range(architecture.num_qubits):
-            occupants = [registry.map_var(logical, physical, step)
-                         for logical in range(encoding.num_logical)]
-            self._at_most_one(builder, occupants)
 
     def _encode_slot(self, encoding: QmrEncoding, source_step: int,
                      target_step: int, real_step: int, slot: int) -> None:
@@ -358,39 +351,38 @@ class QmrEncoder:
         builder = encoding.builder
         registry = encoding.registry
         architecture = encoding.architecture
+        num_physical = architecture.num_qubits
         edges = list(architecture.edges)
 
         noop_var = registry.swap_var(NOOP, real_step, slot)
-        choice_vars = [noop_var] + [registry.swap_var(edge, real_step, slot)
-                                    for edge in edges]
+        edge_vars = [registry.swap_var(edge, real_step, slot) for edge in edges]
+        choice_vars = [noop_var] + edge_vars
         # Hard C: exactly one of {no-op} ∪ Edges is selected.
-        builder.add_hard(list(choice_vars))
-        self._at_most_one(builder, choice_vars)
+        words: list[int] = [len(choice_vars)]
+        words.extend(choice_vars)
+        self._at_most_one(builder, choice_vars, words)
         encoding.swap_slots.append((real_step, slot))
 
         # Hard D: forward propagation of every logical qubit's position.
-        incident: dict[int, list[tuple[int, int]]] = {
-            physical: [] for physical in range(architecture.num_qubits)
-        }
-        for edge in edges:
-            incident[edge[0]].append(edge)
-            incident[edge[1]].append(edge)
+        # incident[p] lists (swap variable, other endpoint) per edge at p.
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(num_physical)]
+        for (first, second), swap in zip(edges, edge_vars):
+            incident[first].append((swap, second))
+            incident[second].append((swap, first))
+        stay_swaps = [[swap for swap, _ in edges_here] for edges_here in incident]
 
         for logical in range(encoding.num_logical):
-            for physical in range(architecture.num_qubits):
-                source_var = registry.map_var(logical, physical, source_step)
-                stay_clause = [-source_var]
-                for edge in incident[physical]:
-                    stay_clause.append(registry.swap_var(edge, real_step, slot))
-                stay_clause.append(registry.map_var(logical, physical, target_step))
-                builder.add_hard(stay_clause)
-                for edge in incident[physical]:
-                    other = edge[1] if edge[0] == physical else edge[0]
-                    builder.add_hard([
-                        -source_var,
-                        -registry.swap_var(edge, real_step, slot),
-                        registry.map_var(logical, other, target_step),
-                    ])
+            source_row = registry.map_row(logical, source_step, num_physical)
+            target_row = registry.map_row(logical, target_step, num_physical)
+            for physical in range(num_physical):
+                not_source = -source_row[physical]
+                swaps = stay_swaps[physical]
+                words += (len(swaps) + 2, not_source)
+                words.extend(swaps)
+                words.append(target_row[physical])
+                for swap, other in incident[physical]:
+                    words += (3, not_source, -swap, target_row[other])
+        builder.add_clause_buffer(array("i", words))
 
     def _encode_initial_mapping(self, encoding: QmrEncoding, root_step: int = 0) -> None:
         """Pin the initial map to a given mapping (used by the local relaxation).
@@ -406,24 +398,26 @@ class QmrEncoder:
         fixed = encoding.options.fixed_initial_mapping
         if not fixed or encoding.options.pin_initial_via_assumptions:
             return
-        builder = encoding.builder
         registry = encoding.registry
+        words: list[int] = []
         for logical, physical in fixed.items():
             if logical >= encoding.num_logical:
                 continue
-            builder.add_hard([registry.map_var(logical, physical, root_step)])
+            words += (1, registry.map_var(logical, physical, root_step))
+        encoding.builder.add_clause_buffer(array("i", words))
 
     def _encode_cyclic_closure(self, encoding: QmrEncoding) -> None:
         """Section VI: the final map equals the initial map, qubit by qubit."""
-        builder = encoding.builder
         registry = encoding.registry
+        num_physical = encoding.architecture.num_qubits
         final_step = len(encoding.steps)
+        words: list[int] = []
         for logical in range(encoding.num_logical):
-            for physical in range(encoding.architecture.num_qubits):
-                initial = registry.map_var(logical, physical, 0)
-                final = registry.map_var(logical, physical, final_step)
-                builder.add_hard([-initial, final])
-                builder.add_hard([initial, -final])
+            initial_row = registry.map_row(logical, 0, num_physical)
+            final_row = registry.map_row(logical, final_step, num_physical)
+            for initial, final in zip(initial_row, final_row):
+                words += (2, -initial, final, 2, initial, -final)
+        encoding.builder.add_clause_buffer(array("i", words))
 
     def _encode_soft(self, encoding: QmrEncoding) -> None:
         """Soft constraints: prefer no-ops (unweighted) or high fidelity (weighted)."""
@@ -452,30 +446,32 @@ class QmrEncoder:
         registry = encoding.registry
         noise = encoding.options.noise_model
         architecture = encoding.architecture
+        num_physical = architecture.num_qubits
         for step, (first, second) in enumerate(encoding.steps):
+            first_row = registry.map_row(first, step, num_physical)
+            second_row = registry.map_row(second, step, num_physical)
+            words: list[int] = []
             for edge in architecture.edges:
                 physical_a, physical_b = edge
                 executed = builder.new_var()
-                for qubit_one, qubit_two in ((first, second), (second, first)):
-                    builder.add_hard([
-                        -registry.map_var(qubit_one, physical_a, step),
-                        -registry.map_var(qubit_two, physical_b, step),
-                        executed,
-                    ])
+                words += (3, -first_row[physical_a], -second_row[physical_b], executed,
+                          3, -second_row[physical_a], -first_row[physical_b], executed)
                 error = noise.edge_error(*edge)
                 weight = max(1, round(-noise.weight_scale *
                                       _log_one_minus(error)))
                 builder.add_soft([-executed], weight=weight)
+            builder.add_clause_buffer(array("i", words))
 
     # -------------------------------------------------------------- helpers
 
-    def _at_most_one(self, builder: WcnfBuilder, literals: list[int]) -> None:
+    def _at_most_one(self, builder: WcnfBuilder, literals: list[int],
+                     words: list[int]) -> None:
         if len(literals) <= 1:
             return
         if len(literals) < self.options.commander_threshold:
-            at_most_one_pairwise(builder, literals)
+            at_most_one_pairwise(builder, literals, words)
         else:
-            at_most_one_commander(builder, literals)
+            at_most_one_commander(builder, literals, clauses=words)
 
 
 def _log_one_minus(error: float) -> float:

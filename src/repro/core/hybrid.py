@@ -25,6 +25,7 @@ that routing quality is back in heuristic territory.  The ablation benchmark
 from __future__ import annotations
 
 import time
+from array import array
 
 from repro.api.protocol import BaseRouter
 from repro.baselines.base import interaction_counts
@@ -32,6 +33,7 @@ from repro.baselines.sabre import SabreRouter
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
+from repro.maxsat.cardinality import at_most_one_pairwise, exactly_one
 from repro.maxsat.solver import MaxSatSolver
 from repro.maxsat.wcnf import WcnfBuilder
 from repro.sat.session import SatSession
@@ -106,29 +108,28 @@ class HybridSatMapRouter(BaseRouter):
 
         # Hard A: every logical qubit sits on exactly one physical qubit and
         # no two logical qubits share one (the paper's injectivity/totality).
+        words: list[int] = []
         for logical in range(num_logical):
-            builder.add_hard([map_var[(logical, physical)]
-                              for physical in range(num_physical)])
-            for first in range(num_physical):
-                for second in range(first + 1, num_physical):
-                    builder.add_hard([-map_var[(logical, first)],
-                                      -map_var[(logical, second)]])
+            exactly_one(builder, [map_var[(logical, physical)]
+                                  for physical in range(num_physical)], words)
         for physical in range(num_physical):
-            for first in range(num_logical):
-                for second in range(first + 1, num_logical):
-                    builder.add_hard([-map_var[(first, physical)],
-                                      -map_var[(second, physical)]])
+            at_most_one_pairwise(builder, [map_var[(logical, physical)]
+                                           for logical in range(num_logical)],
+                                 words)
+        builder.add_clause_buffer(array("i", words))
 
         # Soft: an interacting pair placed on an edge satisfies its clause.
         counts = interaction_counts(circuit)
         for (first, second), count in sorted(counts.items()):
             adjacency_literals = []
+            words = []
             for (physical_a, physical_b) in architecture.edges:
                 for (pa, pb) in ((physical_a, physical_b), (physical_b, physical_a)):
                     placed = builder.new_var()
-                    builder.add_hard([-placed, map_var[(first, pa)]])
-                    builder.add_hard([-placed, map_var[(second, pb)]])
+                    words += (2, -placed, map_var[(first, pa)],
+                              2, -placed, map_var[(second, pb)])
                     adjacency_literals.append(placed)
+            builder.add_clause_buffer(array("i", words))
             builder.add_soft(adjacency_literals, weight=count)
 
         result = MaxSatSolver(self.strategy, session=session).solve(

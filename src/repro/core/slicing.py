@@ -45,6 +45,14 @@ class SliceState:
     #: slice, so backtracking re-solves stream only the new exclusion clause
     #: and swap the initial-map assumptions instead of re-encoding.
     context: SliceContext | None = None
+    #: Stage seconds summed over *every* attempt at this slice, including
+    #: the ones later undone by backtracking or escalation.
+    stage_timings: dict[str, float] = field(default_factory=dict)
+
+    def record_attempt(self, outcome: MonolithicOutcome) -> None:
+        """Charge one solve attempt's stage timings to this slice."""
+        for stage, seconds in outcome.result.stage_timings.items():
+            self.stage_timings[stage] = self.stage_timings.get(stage, 0.0) + seconds
 
 
 def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
@@ -114,6 +122,7 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
                     )
                 slice_span.set(status=outcome.result.status.value,
                                swaps=outcome.result.swap_count)
+            state.record_attempt(outcome)
             state.context = outcome.context
             if outcome.result.solved:
                 state.outcome = outcome
@@ -172,7 +181,12 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
 def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
             architecture: Architecture, slices: list[SliceState],
             backtracks: int, elapsed: float) -> RoutingResult:
-    """Concatenate per-slice routed circuits into the full solution."""
+    """Concatenate per-slice routed circuits into the full solution.
+
+    Stage timings cover every attempt at every slice, so they account for
+    the work backtracking and escalation threw away, not just the
+    surviving solves.
+    """
     routed = QuantumCircuit(architecture.num_qubits,
                             name=f"{circuit.name}@{architecture.name}")
     total_swaps = 0
@@ -195,7 +209,7 @@ def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
         total_hard += outcome.result.num_hard_clauses
         total_soft += outcome.result.num_soft_clauses
         all_optimal = all_optimal and outcome.result.optimal
-        for stage, seconds in outcome.result.stage_timings.items():
+        for stage, seconds in state.stage_timings.items():
             stage_timings[stage] = stage_timings.get(stage, 0.0) + seconds
         clauses_streamed += outcome.result.clauses_streamed
         learnt_retained += outcome.result.learnt_clauses_retained

@@ -32,6 +32,7 @@ class VariableRegistry:
     swap_vars: dict[tuple[tuple[int, int], int, int], int] = field(default_factory=dict)
     _reverse_map: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     _reverse_swap: dict[int, tuple[tuple[int, int], int, int]] = field(default_factory=dict)
+    _rows: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
 
     def map_var(self, logical: int, physical: int, step: int) -> int:
         """Variable for ``map(logical, physical, step)``, creating it if needed."""
@@ -41,6 +42,28 @@ class VariableRegistry:
             self.map_vars[key] = variable
             self._reverse_map[variable] = key
         return self.map_vars[key]
+
+    def map_row(self, logical: int, step: int, num_physical: int) -> list[int]:
+        """``map(logical, p, step)`` for ``p = 0 .. num_physical - 1``, in order.
+
+        Missing variables are created in physical-qubit order, exactly as
+        ``num_physical`` successive :meth:`map_var` calls would.  The row is
+        cached, so an encoder reads a step's variables with one lookup per
+        logical qubit instead of one per literal.
+        """
+        row = self._rows.get((logical, step))
+        if row is None:
+            row = []
+            for physical in range(num_physical):
+                key = (logical, physical, step)
+                variable = self.map_vars.get(key)
+                if variable is None:
+                    variable = self.builder.new_var()
+                    self.map_vars[key] = variable
+                    self._reverse_map[variable] = key
+                row.append(variable)
+            self._rows[(logical, step)] = row
+        return row
 
     def swap_var(self, edge: tuple[int, int], step: int, slot: int = 0) -> int:
         """Variable for ``swap(edge, step, slot)``; ``edge`` may be :data:`NOOP`."""

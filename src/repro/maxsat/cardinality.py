@@ -13,55 +13,88 @@ on output literals, which is how the linear-search MaxSAT strategy tightens
 its bound between SAT calls.
 
 The paper's "only one swap" constraint (Hard C) also uses a standard
-at-most-one encoding, provided here as :func:`at_most_one_pairwise` and
-:func:`exactly_one`.
+at-most-one encoding, provided here as :func:`at_most_one_pairwise`,
+:func:`at_most_one_commander` and :func:`exactly_one`.  These helpers are
+shared by the QMR encoder, :mod:`repro.maxsat.encodings` and the Fu-Malik
+strategy; they append to a caller's clause batch or hand the builder one
+batch of their own, never one call per clause.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from repro.maxsat.wcnf import WcnfBuilder
 
 
-def at_most_one_pairwise(builder: WcnfBuilder, literals: list[int]) -> None:
-    """Add pairwise at-most-one hard constraints over ``literals``."""
-    for index, first in enumerate(literals):
-        for second in literals[index + 1:]:
-            builder.add_hard([-first, -second])
+def at_most_one_pairwise(builder: WcnfBuilder, literals: list[int],
+                         clauses: list[int] | None = None) -> None:
+    """Add pairwise at-most-one hard constraints over ``literals``.
+
+    Like every helper in this module that takes ``clauses``: when given, the
+    clauses are appended to that word list in clause-buffer layout
+    (``[n, l1 .. ln, ...]``, see :mod:`repro.sat.clausebuf`) and the caller
+    hands the whole batch to the builder later; when omitted, they go to
+    ``builder`` as one batch right away.
+    """
+    words = [] if clauses is None else clauses
+    negated = [-literal for literal in literals]
+    for index, first in enumerate(negated, 1):
+        for second in negated[index:]:
+            words += (2, first, second)
+    if clauses is None:
+        builder.add_clause_buffer(array("i", words))
 
 
-def at_least_one(builder: WcnfBuilder, literals: list[int]) -> None:
+def at_least_one(builder: WcnfBuilder, literals: list[int],
+                 clauses: list[int] | None = None) -> None:
     """Add an at-least-one hard constraint over ``literals``."""
-    builder.add_hard(list(literals))
+    words = [] if clauses is None else clauses
+    words.append(len(literals))
+    words += literals
+    if clauses is None:
+        builder.add_clause_buffer(array("i", words))
 
 
-def exactly_one(builder: WcnfBuilder, literals: list[int]) -> None:
+def exactly_one(builder: WcnfBuilder, literals: list[int],
+                clauses: list[int] | None = None) -> None:
     """Add an exactly-one hard constraint (pairwise AMO + ALO)."""
-    at_least_one(builder, literals)
-    at_most_one_pairwise(builder, literals)
+    words = [] if clauses is None else clauses
+    at_least_one(builder, literals, words)
+    at_most_one_pairwise(builder, literals, words)
+    if clauses is None:
+        builder.add_clause_buffer(array("i", words))
 
 
 def at_most_one_commander(
-    builder: WcnfBuilder, literals: list[int], group_size: int = 4
+    builder: WcnfBuilder, literals: list[int], group_size: int = 4,
+    clauses: list[int] | None = None,
 ) -> None:
     """Commander (hierarchical) at-most-one encoding.
 
     Linear in the number of literals, which matters for the larger "only one"
     constraints the QMR encoding produces on well-connected architectures.
+    Commander variables are allocated from ``builder`` as the groups are
+    encoded, so variable numbering does not depend on ``clauses``.
     """
+    words = [] if clauses is None else clauses
     if len(literals) <= group_size + 1:
-        at_most_one_pairwise(builder, literals)
-        return
-    commanders: list[int] = []
-    for start in range(0, len(literals), group_size):
-        group = literals[start:start + group_size]
-        commander = builder.new_var()
-        commanders.append(commander)
-        at_most_one_pairwise(builder, group)
-        # The commander is true iff some literal in its group is true.
-        for literal in group:
-            builder.add_hard([-literal, commander])
-        builder.add_hard([-commander] + group)
-    at_most_one_commander(builder, commanders, group_size)
+        at_most_one_pairwise(builder, literals, words)
+    else:
+        commanders: list[int] = []
+        for start in range(0, len(literals), group_size):
+            group = literals[start:start + group_size]
+            commander = builder.new_var()
+            commanders.append(commander)
+            at_most_one_pairwise(builder, group, words)
+            # The commander is true iff some literal in its group is true.
+            for literal in group:
+                words += (2, -literal, commander)
+            words += (len(group) + 1, -commander)
+            words += group
+        at_most_one_commander(builder, commanders, group_size, words)
+    if clauses is None:
+        builder.add_clause_buffer(array("i", words))
 
 
 class Totalizer:
@@ -78,17 +111,20 @@ class Totalizer:
         if not inputs:
             self.outputs: list[int] = []
             return
-        self.outputs = self._build(list(inputs))
+        words: list[int] = []
+        self.outputs = self._build(list(inputs), words)
+        builder.add_clause_buffer(array("i", words))
 
-    def _build(self, literals: list[int]) -> list[int]:
+    def _build(self, literals: list[int], words: list[int]) -> list[int]:
         if len(literals) == 1:
             return [literals[0]]
         mid = len(literals) // 2
-        left = self._build(literals[:mid])
-        right = self._build(literals[mid:])
-        return self._merge(left, right)
+        left = self._build(literals[:mid], words)
+        right = self._build(literals[mid:], words)
+        return self._merge(left, right, words)
 
-    def _merge(self, left: list[int], right: list[int]) -> list[int]:
+    def _merge(self, left: list[int], right: list[int],
+               words: list[int]) -> list[int]:
         builder = self.builder
         total = len(left) + len(right)
         outputs = [builder.new_var() for _ in range(total)]
@@ -102,10 +138,12 @@ class Totalizer:
                     antecedent.append(-left[a - 1])
                 if b > 0:
                     antecedent.append(-right[b - 1])
-                builder.add_hard(antecedent + [outputs[a + b - 1]])
+                words.append(len(antecedent) + 1)
+                words += antecedent
+                words.append(outputs[a + b - 1])
         # Monotonicity: outputs[j] implies outputs[j-1].
         for j in range(1, total):
-            builder.add_hard([-outputs[j], outputs[j - 1]])
+            words += (2, -outputs[j], outputs[j - 1])
         return outputs
 
     def enforce_at_most(self, bound: int) -> None:
@@ -141,18 +179,22 @@ class GeneralizedTotalizer:
         if not self.weighted_inputs:
             self.outputs: dict[int, int] = {}
             return
-        self.outputs = self._build(self.weighted_inputs)
+        words: list[int] = []
+        self.outputs = self._build(self.weighted_inputs, words)
+        builder.add_clause_buffer(array("i", words))
 
-    def _build(self, pairs: list[tuple[int, int]]) -> dict[int, int]:
+    def _build(self, pairs: list[tuple[int, int]],
+               words: list[int]) -> dict[int, int]:
         if len(pairs) == 1:
             literal, weight = pairs[0]
             return {weight: literal}
         mid = len(pairs) // 2
-        left = self._build(pairs[:mid])
-        right = self._build(pairs[mid:])
-        return self._merge(left, right)
+        left = self._build(pairs[:mid], words)
+        right = self._build(pairs[mid:], words)
+        return self._merge(left, right, words)
 
-    def _merge(self, left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    def _merge(self, left: dict[int, int], right: dict[int, int],
+               words: list[int]) -> dict[int, int]:
         builder = self.builder
         sums: set[int] = set(left) | set(right)
         for left_weight in left:
@@ -160,17 +202,17 @@ class GeneralizedTotalizer:
                 sums.add(left_weight + right_weight)
         outputs = {weight: builder.new_var() for weight in sorted(sums)}
         for left_weight, left_literal in left.items():
-            builder.add_hard([-left_literal, outputs[left_weight]])
+            words += (2, -left_literal, outputs[left_weight])
         for right_weight, right_literal in right.items():
-            builder.add_hard([-right_literal, outputs[right_weight]])
+            words += (2, -right_literal, outputs[right_weight])
         for left_weight, left_literal in left.items():
             for right_weight, right_literal in right.items():
                 combined = left_weight + right_weight
-                builder.add_hard([-left_literal, -right_literal, outputs[combined]])
+                words += (3, -left_literal, -right_literal, outputs[combined])
         # Monotonicity between consecutive achievable sums.
         ordered = sorted(outputs)
         for lower, upper in zip(ordered, ordered[1:]):
-            builder.add_hard([-outputs[upper], outputs[lower]])
+            words += (2, -outputs[upper], outputs[lower])
         return outputs
 
     def enforce_weight_less_than(self, bound: int) -> None:

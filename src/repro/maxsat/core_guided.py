@@ -70,8 +70,7 @@ class FuMalikSolver:
         else:
             sat = create_solver(self.solver_backend)
             sat.ensure_vars(builder.num_vars)
-            for clause in builder.hard:
-                sat.add_clause(clause)
+            sat.add_clause_buffer(builder.hard_buffer())
 
         # Working copy of every soft clause: original literals plus the
         # blocking variables accumulated over the cores it has appeared in.
@@ -139,10 +138,9 @@ class FuMalikSolver:
                 selectors[position] = new_selector
                 soft_of_selector[new_selector] = soft_index
 
-            hard_before = len(builder.hard)
+            hard_before = builder.hard_words
             exactly_one(builder, blocking_vars)
             sat.ensure_vars(builder.num_vars)
             if self.session is None:
                 # An attached session already received these via streaming.
-                for clause in builder.hard[hard_before:]:
-                    sat.add_clause(clause)
+                sat.add_clause_buffer(builder.hard_buffer(hard_before))

@@ -83,6 +83,8 @@ class LinearSearchSolver:
 
     def _reset_state(self) -> None:
         self._sat: SatSolver | None = None
+        #: Words of the builder's hard-clause buffer already loaded into a
+        #: session-less solver.
         self._loaded_hard = 0
         self._weighted_selectors: list[tuple[int, int]] = []
         self._weighted = False
@@ -277,14 +279,12 @@ class LinearSearchSolver:
             # has already seen are not replayed.
             self.builder.attach_sink(self.session)
             self._sat = self.session.solver
-            self._loaded_hard = len(self.builder.hard)
             return self._sat
         if self._sat is None:
             sat = create_solver(self.solver_backend)
             sat.ensure_vars(self.builder.num_vars)
-            for clause in self.builder.hard:
-                sat.add_clause(clause)
-            self._loaded_hard = len(self.builder.hard)
+            sat.add_clause_buffer(self.builder.hard_buffer())
+            self._loaded_hard = self.builder.hard_words
             self._sat = sat
         return self._sat
 
@@ -292,12 +292,10 @@ class LinearSearchSolver:
         """Feed hard clauses added to the builder since the last sync."""
         if self.session is not None:
             builder.sync_sink()
-            self._loaded_hard = len(builder.hard)
             return
         sat.ensure_vars(builder.num_vars)
-        for clause in builder.hard[self._loaded_hard:]:
-            sat.add_clause(clause)
-        self._loaded_hard = len(builder.hard)
+        sat.add_clause_buffer(builder.hard_buffer(self._loaded_hard))
+        self._loaded_hard = builder.hard_words
 
     def _add_relaxation_clause(self, sat: SatSolver, clause: list[int]) -> None:
         """Selector relaxation clauses go straight to the solver.

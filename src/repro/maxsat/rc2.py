@@ -78,8 +78,7 @@ class OllSolver:
         else:
             sat = create_solver(self.solver_backend)
             sat.ensure_vars(builder.num_vars)
-            for clause in builder.hard:
-                sat.add_clause(clause)
+            sat.add_clause_buffer(builder.hard_buffer())
 
         # Relax every soft clause with a selector whose truth means "violated".
         weights: dict[int, int] = {}
@@ -144,13 +143,12 @@ class OllSolver:
                 # additional violation within this core costs core_weight more,
                 # which is exactly what soft-ening the higher totalizer outputs
                 # expresses.
-                hard_before = len(builder.hard)
+                hard_before = builder.hard_words
                 totalizer = Totalizer(builder, core_selectors)
                 sat.ensure_vars(builder.num_vars)
                 if self.session is None:
                     # An attached session already received these via streaming.
-                    for clause in builder.hard[hard_before:]:
-                        sat.add_clause(clause)
+                    sat.add_clause_buffer(builder.hard_buffer(hard_before))
                 for output in totalizer.outputs[1:]:
                     weights[output] = weights.get(output, 0) + core_weight
             # Cores of size one need no totalizer: the selector's weight simply

@@ -4,18 +4,28 @@
 variable counter, the hard clauses, and the weighted soft clauses, and it can
 be converted to the DIMACS containers in :mod:`repro.sat.dimacs`.
 
+Hard clauses are stored as one clause buffer -- a length-prefixed
+``array('i')``, see :mod:`repro.sat.clausebuf` -- plus a clause count.
+:meth:`WcnfBuilder.add_clause_buffer` appends a whole batch in one call and
+is how the encoder adds its clauses; :meth:`WcnfBuilder.add_hard` is the
+one-clause convenience over it.  :attr:`WcnfBuilder.hard` decodes the
+buffer into lists for export and tests; solvers load
+:meth:`WcnfBuilder.hard_buffer` instead, in one call.
+
 The builder is itself a :class:`repro.sat.session.ClauseSink`, and it can be
 *attached* to another sink -- typically a live
-:class:`~repro.sat.session.SatSession`.  While attached, every hard clause is
-streamed into the session the moment it is added, so the MaxSAT strategies
-never replay ``self.hard`` into a fresh solver: by the time a strategy runs,
-the session already holds the formula.
+:class:`~repro.sat.session.SatSession`.  While attached, every batch of hard
+clauses is forwarded to the session as soon as it is added, so the MaxSAT
+strategies never replay the formula into a fresh solver: by the time a
+strategy runs, the session already holds it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
+from repro.sat import clausebuf
 from repro.sat.dimacs import WcnfFormula
 
 
@@ -32,11 +42,14 @@ class WcnfBuilder:
     """Incrementally built weighted partial MaxSAT instance."""
 
     num_vars: int = 0
-    hard: list[list[int]] = field(default_factory=list)
     soft: list[SoftClause] = field(default_factory=list)
+    #: Hard clauses as one length-prefixed clause buffer.
+    _hard: array = field(default_factory=lambda: array("i"), repr=False)
+    _num_hard: int = 0
     #: Attached streaming sink (a ``SatSession`` in practice); ``None`` keeps
-    #: the builder a plain in-memory container, exactly as before.
+    #: the builder a plain in-memory container.
     _sink: object | None = field(default=None, repr=False, compare=False)
+    #: Words of ``_hard`` already forwarded to the sink.
     _streamed: int = field(default=0, repr=False, compare=False)
     #: The sink generation last streamed to; a mismatch (session reset)
     #: restarts streaming from the first clause.
@@ -51,41 +64,33 @@ class WcnfBuilder:
         """Allocate ``count`` fresh variables."""
         return [self.new_var() for _ in range(count)]
 
-    def add_hard(self, clause: list[int]) -> None:
-        """Add a hard clause (must be satisfied by every solution).
+    def add_clause_buffer(self, buf) -> None:
+        """Add a batch of hard clauses given as one clause buffer.
 
-        When a sink is attached the clause is also streamed into it
-        immediately, so attached solvers stay in sync clause by clause.
+        The whole buffer is validated first (a malformed one raises and adds
+        nothing); variables it mentions beyond ``num_vars`` are claimed.
+        With a sink attached the batch is forwarded in the same call.
         """
-        self._validate(clause)
-        stored = list(clause)
-        self.hard.append(stored)
-        sink = self._sink
-        if sink is not None:
-            if (self._streamed == len(self.hard) - 1
-                    and getattr(sink, "generation", 0) == self._sink_generation):
-                # Fast path: the sink is in sync, stream just this clause.
-                sink.ensure_vars(self.num_vars)
-                sink.add_hard(stored)
-                self._streamed += 1
-            else:
-                self.sync_sink()
+        count, max_var = clausebuf.scan(buf)
+        if max_var > self.num_vars:
+            self.num_vars = max_var
+        if count:
+            self._hard.extend(buf)
+            self._num_hard += count
+            self.sync_sink()
+
+    def add_hard(self, clause: list[int]) -> None:
+        """Add one hard clause (must be satisfied by every solution)."""
+        self.add_clause_buffer(clausebuf.pack([clause]))
 
     def add_soft(self, clause: list[int], weight: int = 1) -> None:
         """Add a soft clause with the given positive integer weight."""
         if weight <= 0:
             raise ValueError(f"soft clause weight must be positive, got {weight}")
-        self._validate(clause)
+        _, max_var = clausebuf.scan(clausebuf.pack([clause]))
+        if max_var > self.num_vars:
+            self.num_vars = max_var
         self.soft.append(SoftClause(list(clause), weight))
-
-    def _validate(self, clause: list[int]) -> None:
-        if not clause:
-            raise ValueError("clauses must be non-empty")
-        for literal in clause:
-            if literal == 0:
-                raise ValueError("0 is not a valid literal")
-            if abs(literal) > self.num_vars:
-                self.num_vars = abs(literal)
 
     # ------------------------------------------------------------ streaming
 
@@ -95,12 +100,12 @@ class WcnfBuilder:
         return self._sink
 
     def attach_sink(self, sink) -> None:
-        """Stream hard clauses into ``sink`` as they are added.
+        """Forward hard clauses into ``sink`` as they are added.
 
-        Clauses already in the builder are streamed immediately (exactly
-        once); afterwards every :meth:`add_hard` forwards the clause the
-        moment it exists.  Attaching a *different* sink restarts streaming
-        from the first clause for that sink.
+        Clauses already in the builder are forwarded immediately (exactly
+        once); afterwards every batch is forwarded as soon as it is added.
+        Attaching a *different* sink restarts streaming from the first
+        clause for that sink.
         """
         if sink is self._sink:
             self.sync_sink()
@@ -117,7 +122,7 @@ class WcnfBuilder:
         self._sink_generation = 0
 
     def sync_sink(self) -> None:
-        """Stream any hard clauses the attached sink has not seen yet.
+        """Forward, in one batch, the hard clauses the sink has not seen yet.
 
         A sink whose ``generation`` changed (a reset session) is treated as
         empty and re-fed the whole formula.
@@ -130,9 +135,9 @@ class WcnfBuilder:
             self._streamed = 0
             self._sink_generation = generation
         sink.ensure_vars(self.num_vars)
-        for clause in self.hard[self._streamed:]:
-            sink.add_hard(clause)
-        self._streamed = len(self.hard)
+        if self._streamed < len(self._hard):
+            sink.add_clause_buffer(self.hard_buffer(self._streamed))
+            self._streamed = len(self._hard)
 
     # -------------------------------------------------------------- queries
 
@@ -142,7 +147,22 @@ class WcnfBuilder:
 
     @property
     def num_hard(self) -> int:
-        return len(self.hard)
+        return self._num_hard
+
+    @property
+    def hard(self) -> list[list[int]]:
+        """The hard clauses decoded into lists (a copy, for export and tests)."""
+        return clausebuf.decode(self._hard)
+
+    @property
+    def hard_words(self) -> int:
+        """Length of the hard-clause buffer in words (an offset for
+        :meth:`hard_buffer`)."""
+        return len(self._hard)
+
+    def hard_buffer(self, start: int = 0) -> array:
+        """A copy of the hard-clause buffer from word offset ``start`` on."""
+        return self._hard[start:]
 
     @property
     def num_soft(self) -> int:

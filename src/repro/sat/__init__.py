@@ -14,6 +14,8 @@ The public entry points are:
   keeps one solver (and its learnt clauses) alive across calls.
 * :class:`repro.sat.session.ClauseSink` -- the streaming-ingestion protocol
   shared by sessions and the WCNF builder.
+* :mod:`repro.sat.clausebuf` -- the length-prefixed ``array('i')`` clause
+  buffers that carry clauses in bulk from the encoder to either core.
 * :mod:`repro.sat.dimacs` -- reading and writing DIMACS CNF / WCNF files.
 * :mod:`repro.sat.preprocessing` -- clause-level simplification.
 * :mod:`repro.sat.enumeration` -- blocking-clause model enumeration.

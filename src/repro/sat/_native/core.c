@@ -16,6 +16,12 @@
  * assumption-based incremental solving with unsat cores, SolverStatistics
  * -- working unchanged while the per-conflict work runs at native speed.
  *
+ * Clauses arrive one at a time (add_clause, a Python sequence) or in bulk
+ * (add_clause_buffer: a length-prefixed int32 clause buffer read in place
+ * through the buffer protocol, validated as a whole before any clause is
+ * added).  Both entry points share one simplification routine, so a clause
+ * is stored identically whichever way it came in.
+ *
  * Semantics intentionally mirror repro/sat/solver.py line for line where
  * it matters (clause simplification on add, analysis seen/touched
  * bookkeeping, assumption handling, final-core extraction); where the two
@@ -39,6 +45,9 @@
 #include <time.h>
 
 #define CREF_UNDEF (-1)
+
+/* Largest accepted |literal|: keeps windex() (2v + 1) inside an int. */
+#define LIT_LIMIT (INT_MAX / 2)
 
 /* Clause flag bits (arena word 1). */
 #define FLAG_LEARNT 1
@@ -101,6 +110,7 @@ typedef struct {
     veci minstack;
     veci visited_list;
     veci final_stack;
+    veci clause_in;        /* add_clause: the literals as ints */
 } Core;
 
 /* ------------------------------------------------------------------ utils */
@@ -912,6 +922,7 @@ static PyObject *Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     veci_init(&s->minstack);
     veci_init(&s->visited_list);
     veci_init(&s->final_stack);
+    veci_init(&s->clause_in);
     return (PyObject *)s;
 }
 
@@ -964,6 +975,7 @@ static void Core_dealloc(Core *s)
     veci_free(&s->minstack);
     veci_free(&s->visited_list);
     veci_free(&s->final_stack);
+    veci_free(&s->clause_in);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
@@ -1011,18 +1023,17 @@ static int enqueue_root_unit(Core *s, int literal)
     return 1;
 }
 
-static PyObject *Core_add_clause(Core *s, PyObject *arg)
+/* Add one validated clause at the root, mirroring SatSolver._add_literals:
+ * duplicate literals are dropped, tautologies and root-satisfied clauses
+ * are skipped, root-false literals are removed, and what is left is stored,
+ * enqueued as a unit, or -- when nothing is left -- marks the formula
+ * UNSAT.  Both add_clause and add_clause_buffer go through here.  Returns
+ * 1 while the formula is satisfiable, 0 once it is not, -1 when out of
+ * memory. */
+static int add_literals(Core *s, const int *lits, Py_ssize_t n)
 {
-    PyObject *seq;
-    Py_ssize_t n, i;
-    int result = 1;
-
-    if (!s->ok)
-        return PyBool_FromLong(0);
-    seq = PySequence_Fast(arg, "add_clause expects a sequence of literals");
-    if (seq == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(seq);
+    Py_ssize_t i;
+    long cr;
 
     s->learnt_clause.size = 0; /* reuse as the simplified-clause scratch */
     if (s->lit_epoch == INT_MAX) {
@@ -1032,8 +1043,54 @@ static PyObject *Core_add_clause(Core *s, PyObject *arg)
     s->lit_epoch++;
 
     for (i = 0; i < n; i++) {
+        int lit = lits[i];
+        if (ensure_var_cap(s, lit > 0 ? lit : -lit) < 0)
+            return -1;
+        if (s->lit_stamp[windex(-lit)] == s->lit_epoch)
+            return 1; /* tautology, trivially satisfied */
+        if (s->lit_stamp[windex(lit)] == s->lit_epoch)
+            continue;
+        if (s->trail_lim_size == 0) {
+            signed char value = val_lit(s, lit);
+            if (value == 1)
+                return 1;
+            if (value == -1)
+                continue;
+        }
+        s->lit_stamp[windex(lit)] = s->lit_epoch;
+        if (veci_push(s, &s->learnt_clause, lit) < 0)
+            return -1;
+    }
+
+    if (s->learnt_clause.size == 0) {
+        s->ok = 0;
+        return 0;
+    }
+    if (s->learnt_clause.size == 1)
+        return enqueue_root_unit(s, s->learnt_clause.data[0]);
+    cr = alloc_clause(s, s->learnt_clause.data, s->learnt_clause.size, 0);
+    if (cr == CREF_UNDEF || watch_clause(s, cr) < 0)
+        return -1;
+    s->n_problem++;
+    return 1;
+}
+
+static PyObject *Core_add_clause(Core *s, PyObject *arg)
+{
+    PyObject *seq;
+    Py_ssize_t n, i;
+    int result;
+
+    if (!s->ok)
+        return PyBool_FromLong(0);
+    seq = PySequence_Fast(arg, "add_clause expects a sequence of literals");
+    if (seq == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(seq);
+
+    s->clause_in.size = 0;
+    for (i = 0; i < n; i++) {
         long literal = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        int lit, variable;
         if (literal == -1 && PyErr_Occurred()) {
             Py_DECREF(seq);
             return NULL;
@@ -1043,54 +1100,144 @@ static PyObject *Core_add_clause(Core *s, PyObject *arg)
             PyErr_SetString(PyExc_ValueError, "0 is not a valid literal");
             return NULL;
         }
-        if (literal > INT_MAX / 2 || literal < -(INT_MAX / 2)) {
+        if (literal > LIT_LIMIT || literal < -LIT_LIMIT) {
             Py_DECREF(seq);
             PyErr_SetString(PyExc_OverflowError, "literal out of range");
             return NULL;
         }
-        lit = (int)literal;
-        variable = lit > 0 ? lit : -lit;
-        if (ensure_var_cap(s, variable) < 0) {
-            Py_DECREF(seq);
-            return PyErr_NoMemory();
-        }
-        if (s->lit_stamp[windex(-lit)] == s->lit_epoch) {
-            Py_DECREF(seq); /* tautology, trivially satisfied */
-            return PyBool_FromLong(1);
-        }
-        if (s->lit_stamp[windex(lit)] == s->lit_epoch)
-            continue;
-        if (s->trail_lim_size == 0) {
-            signed char value = val_lit(s, lit);
-            if (value == 1) {
-                Py_DECREF(seq);
-                return PyBool_FromLong(1);
-            }
-            if (value == -1)
-                continue;
-        }
-        s->lit_stamp[windex(lit)] = s->lit_epoch;
-        veci_push(s, &s->learnt_clause, lit);
+        if (veci_push(s, &s->clause_in, (int)literal) < 0)
+            break;
     }
     Py_DECREF(seq);
     if (oom_check(s))
         return NULL;
 
-    if (s->learnt_clause.size == 0) {
-        s->ok = 0;
-        result = 0;
-    } else if (s->learnt_clause.size == 1) {
-        result = enqueue_root_unit(s, s->learnt_clause.data[0]);
-    } else {
-        long cr = alloc_clause(s, s->learnt_clause.data,
-                               s->learnt_clause.size, 0);
-        if (cr == CREF_UNDEF || watch_clause(s, cr) < 0)
-            return PyErr_NoMemory();
-        s->n_problem++;
+    result = add_literals(s, s->clause_in.data, s->clause_in.size);
+    if (result < 0 || s->oom) {
+        s->oom = 0;
+        return PyErr_NoMemory();
     }
-    if (oom_check(s))
-        return NULL;
     return PyBool_FromLong(result);
+}
+
+/* ------------------------------------------------------- clause buffers
+ *
+ * The bulk clause format: one C-contiguous run of int32 words holding
+ * length-prefixed clauses, [n, l1 .. ln, n, ...] -- what
+ * repro.sat.clausebuf.pack builds as an array('i').  Length prefixes
+ * rather than zero terminators keep 0 an invalid literal everywhere. */
+
+/* Borrow ``arg``'s buffer; TypeError unless it is 1-D int32 ('i'). */
+static int get_clause_buffer(PyObject *arg, Py_buffer *view)
+{
+    const char *format;
+
+    if (PyObject_GetBuffer(arg, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    format = view->format != NULL ? view->format : "B";
+    if (format[0] == '@')
+        format++;
+    if (view->ndim != 1 || view->itemsize != (Py_ssize_t)sizeof(int)
+            || sizeof(int) != 4 || strcmp(format, "i") != 0) {
+        PyErr_Format(PyExc_TypeError,
+                     "clause buffer must hold int32 items (array('i')), "
+                     "got format '%s' with item size %zd",
+                     format, view->itemsize);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* Validate a whole clause buffer without touching any solver state: every
+ * length prefix is >= 1 and ends inside the buffer, no literal is 0 or out
+ * of range.  Sets the clause count and the largest variable; returns -1
+ * with a Python error set on the first malformed word. */
+static int scan_clauses(const int *words, Py_ssize_t n, Py_ssize_t *n_clauses,
+                        int *max_var)
+{
+    Py_ssize_t i = 0, count = 0;
+    int top = 0;
+
+    while (i < n) {
+        int size = words[i];
+        Py_ssize_t start = i, end;
+        if (size < 1) {
+            PyErr_Format(PyExc_ValueError,
+                         "clauses must be non-empty (length prefix %d at "
+                         "word %zd)", size, start);
+            return -1;
+        }
+        end = start + 1 + (Py_ssize_t)size;
+        if (end > n) {
+            PyErr_Format(PyExc_ValueError,
+                         "clause buffer truncated: length prefix %d at word "
+                         "%zd runs past the end (%zd words)", size, start, n);
+            return -1;
+        }
+        for (i = start + 1; i < end; i++) {
+            int lit = words[i];
+            if (lit == 0) {
+                PyErr_SetString(PyExc_ValueError, "0 is not a valid literal");
+                return -1;
+            }
+            if (lit > LIT_LIMIT || lit < -LIT_LIMIT) {
+                PyErr_SetString(PyExc_OverflowError, "literal out of range");
+                return -1;
+            }
+            if (lit < 0)
+                lit = -lit;
+            if (lit > top)
+                top = lit;
+        }
+        count++;
+    }
+    *n_clauses = count;
+    *max_var = top;
+    return 0;
+}
+
+static PyObject *Core_add_clause_buffer(Core *s, PyObject *arg)
+{
+    Py_buffer view;
+    const int *words;
+    Py_ssize_t n, i, count;
+    int max_var;
+
+    if (get_clause_buffer(arg, &view) < 0)
+        return NULL;
+    words = (const int *)view.buf;
+    n = view.len / (Py_ssize_t)sizeof(int);
+    if (scan_clauses(words, n, &count, &max_var) < 0) {
+        PyBuffer_Release(&view);
+        return NULL;
+    }
+    for (i = 0; i < n && s->ok; i += (Py_ssize_t)words[i] + 1) {
+        if (add_literals(s, words + i + 1, words[i]) < 0 || s->oom) {
+            s->oom = 0;
+            PyBuffer_Release(&view);
+            return PyErr_NoMemory();
+        }
+    }
+    PyBuffer_Release(&view);
+    return PyLong_FromLong(max_var);
+}
+
+static PyObject *scan_clause_buffer(PyObject *module, PyObject *arg)
+{
+    Py_buffer view;
+    Py_ssize_t count;
+    int max_var;
+    int failed;
+
+    if (get_clause_buffer(arg, &view) < 0)
+        return NULL;
+    failed = scan_clauses((const int *)view.buf,
+                          view.len / (Py_ssize_t)sizeof(int), &count, &max_var);
+    PyBuffer_Release(&view);
+    if (failed)
+        return NULL;
+    return Py_BuildValue("(ni)", count, max_var);
 }
 
 static PyObject *Core_prepare_solve(Core *s, PyObject *arg)
@@ -1121,8 +1268,8 @@ static PyObject *Core_prepare_solve(Core *s, PyObject *arg)
                 Py_DECREF(seq);
                 return NULL;
             }
-            if (literal == 0 || literal > INT_MAX / 2
-                    || literal < -(INT_MAX / 2)) {
+            if (literal == 0 || literal > LIT_LIMIT
+                    || literal < -LIT_LIMIT) {
                 Py_DECREF(seq);
                 PyErr_SetString(PyExc_ValueError, "invalid assumption literal");
                 return NULL;
@@ -1202,15 +1349,16 @@ static PyObject *Core_counters(Core *s, PyObject *noargs)
                          s->propagations, s->learnt_total, s->deleted_total);
 }
 
-/* Flat export of the formula: every live problem clause then every root
- * (level-0) trail literal as a unit clause, 0-terminated.  Used to pickle
- * a solver across process boundaries by replay; learnt state is dropped. */
+/* Export of the formula as a clause buffer (array('i')): every live
+ * problem clause, then every root (level-0) trail literal as a unit clause.
+ * Used to pickle a solver across process boundaries by replaying it through
+ * add_clause_buffer; learnt state is dropped. */
 static PyObject *Core_export_clauses(Core *s, PyObject *noargs)
 {
     veci flat;
     Py_ssize_t ref = 0;
     int i;
-    PyObject *list;
+    PyObject *array_module, *bytes, *result;
 
     if (s->trail_lim_size != 0) {
         PyErr_SetString(PyExc_RuntimeError,
@@ -1223,37 +1371,35 @@ static PyObject *Core_export_clauses(Core *s, PyObject *noargs)
         int flags = s->arena[ref + 1];
         if (!(flags & (FLAG_LEARNT | FLAG_DELETED))) {
             int k;
+            veci_push(s, &flat, size);
             for (k = 0; k < size; k++)
                 veci_push(s, &flat, s->arena[ref + 3 + k]);
-            veci_push(s, &flat, 0);
         }
         ref += (Py_ssize_t)size + 3;
     }
     for (i = 0; i < s->trail_size; i++) {
+        veci_push(s, &flat, 1);
         veci_push(s, &flat, s->trail[i]);
-        veci_push(s, &flat, 0);
     }
     if (s->oom) {
         veci_free(&flat);
         s->oom = 0;
         return PyErr_NoMemory();
     }
-    list = PyList_New(flat.size);
-    if (list == NULL) {
-        veci_free(&flat);
+    bytes = PyBytes_FromStringAndSize((const char *)flat.data,
+                                      (Py_ssize_t)flat.size * sizeof(int));
+    veci_free(&flat);
+    if (bytes == NULL)
+        return NULL;
+    array_module = PyImport_ImportModule("array");
+    if (array_module == NULL) {
+        Py_DECREF(bytes);
         return NULL;
     }
-    for (i = 0; i < flat.size; i++) {
-        PyObject *value = PyLong_FromLong(flat.data[i]);
-        if (value == NULL) {
-            Py_DECREF(list);
-            veci_free(&flat);
-            return NULL;
-        }
-        PyList_SET_ITEM(list, i, value);
-    }
-    veci_free(&flat);
-    return list;
+    result = PyObject_CallMethod(array_module, "array", "sO", "i", bytes);
+    Py_DECREF(array_module);
+    Py_DECREF(bytes);
+    return result;
 }
 
 static PyObject *Core_get_num_vars(Core *s, void *closure)
@@ -1283,6 +1429,9 @@ static PyMethodDef Core_methods[] = {
      "Make sure all variables up to max_var exist."},
     {"add_clause", (PyCFunction)Core_add_clause, METH_O,
      "Add a clause; returns False if the formula became trivially UNSAT."},
+    {"add_clause_buffer", (PyCFunction)Core_add_clause_buffer, METH_O,
+     "Validate a length-prefixed int32 clause buffer, then add every clause "
+     "in order; returns the largest variable in it."},
     {"prepare_solve", (PyCFunction)Core_prepare_solve, METH_O,
      "Set assumptions, backtrack to root, propagate; -1 on root conflict."},
     {"search", (PyCFunction)Core_search, METH_VARARGS,
@@ -1296,7 +1445,7 @@ static PyMethodDef Core_methods[] = {
     {"counters", (PyCFunction)Core_counters, METH_NOARGS,
      "(conflicts, decisions, propagations, learnt, deleted) totals."},
     {"export_clauses", (PyCFunction)Core_export_clauses, METH_NOARGS,
-     "Flat 0-terminated dump of problem clauses and root units."},
+     "Problem clauses and root units as a length-prefixed array('i')."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1325,11 +1474,19 @@ static PyTypeObject CoreType = {
     .tp_getset = Core_getset,
 };
 
+static PyMethodDef module_methods[] = {
+    {"scan_clause_buffer", (PyCFunction)scan_clause_buffer, METH_O,
+     "Validate a length-prefixed int32 clause buffer; returns "
+     "(num_clauses, max_var)."},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sat._native.core",
     .m_doc = "Native CDCL inner loops behind repro.sat.native.NativeSatSolver.",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC PyInit_core(void)

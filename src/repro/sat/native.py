@@ -14,19 +14,26 @@ on behaves identically to the pure-Python solver.  Returning to Python once
 per restart costs nothing measurable (restarts are hundreds of conflicts
 apart) and keeps anytime budgets honest even if the C core misbehaves.
 
+Clauses arrive either one at a time (``add_clause``, used for MaxSAT
+relaxation scaffolding) or in bulk (``add_clause_buffer``, a length-prefixed
+``array('i')`` as described in :mod:`repro.sat.clausebuf`, used for
+everything the encoder produces).  Both reach the same simplification
+routine in the C core; a buffer crosses the Python/C boundary once.
+
 Cross-checking (``REPRO_SAT_CROSSCHECK=1``) happens here rather than in
 :class:`~repro.sat.session.SatSession` because MaxSAT strategies add
 relaxation clauses directly through ``session.solver.add_clause``: the
-wrapper records every ingested clause, evaluates each one under every SAT
-model, and replays UNSAT verdicts through a fresh pure-Python solver.  A
-disagreement raises :class:`CrossCheckError` — loudly, since it means one
-of the cores is wrong.
+wrapper appends everything it ingests to one clause buffer, evaluates every
+logged clause under every SAT model, and replays UNSAT verdicts through a
+fresh pure-Python solver loaded from that buffer.  A disagreement raises
+:class:`CrossCheckError` — loudly, since it means one of the cores is wrong.
 
 Pickling (needed because pipelined slicing ships prebuilt
 :class:`~repro.core.satmap.SliceContext` objects across process
 boundaries) round-trips the *formula*, not the solver state: the C core
-exports its live problem clauses and root-level units, and unpickling
-replays them into a fresh core.  Learnt clauses and activity are dropped,
+exports its live problem clauses and root-level units as one clause
+buffer, and unpickling replays it into a fresh core with a single
+``add_clause_buffer`` call.  Learnt clauses and activity are dropped,
 which is fine for the prebuild path (contexts cross the boundary unsolved);
 if the extension is missing on the receiving side the replay lands in a
 pure-Python solver instead.
@@ -35,9 +42,10 @@ pure-Python solver instead.
 from __future__ import annotations
 
 import time
+from array import array
 
 from repro.obs import trace as obs_trace
-from repro.sat import backends
+from repro.sat import backends, clausebuf
 from repro.sat._native import load_core
 from repro.sat.solver import (
     SolverStatistics,
@@ -51,7 +59,7 @@ class CrossCheckError(RuntimeError):
     """The native core and the pure-Python core disagreed on an answer."""
 
 
-def _rebuild_solver(kwargs: dict, flat_clauses: list[int], num_vars: int,
+def _rebuild_solver(kwargs: dict, clauses: array, num_vars: int,
                     stats: dict):
     """Unpickle helper: replay an exported formula into a fresh solver.
 
@@ -68,13 +76,7 @@ def _rebuild_solver(kwargs: dict, flat_clauses: list[int], num_vars: int,
             restart_base=kwargs.get("restart_base", 100),
             max_learnt_ratio=kwargs.get("max_learnt_ratio", 0.4),
         )
-    clause: list[int] = []
-    for literal in flat_clauses:
-        if literal == 0:
-            solver.add_clause(clause)
-            clause = []
-        else:
-            clause.append(literal)
+    solver.add_clause_buffer(clauses)
     solver.ensure_vars(num_vars)
     for key, value in stats.items():
         if key != "backend":
@@ -110,8 +112,11 @@ class NativeSatSolver:
         self.stats = SolverStatistics(backend="native")
         self._counter_base = self._core.counters()
         self._crosscheck = backends.crosscheck_enabled()
-        #: Every clause ever ingested, kept only in cross-check mode.
-        self._clause_log: list[list[int]] = []
+        #: Every clause ever ingested as one clause buffer, kept only in
+        #: cross-check mode.  An empty clause cannot be stored in a buffer;
+        #: it is remembered by the flag below instead.
+        self._clause_log = array("i")
+        self._empty_clause_logged = False
         self._unsat_crosschecked = False
 
     # ------------------------------------------------------------------ setup
@@ -137,16 +142,30 @@ class NativeSatSolver:
         """Add a clause; return ``False`` if the formula became trivially UNSAT."""
         if not self._core.ok:
             return False
+        ok = self._core.add_clause(literals)
         if self._crosscheck:
-            self._clause_log.append(list(literals))
-        return self._core.add_clause(literals)
+            if literals:
+                self._clause_log.append(len(literals))
+                self._clause_log.extend(literals)
+            else:
+                self._empty_clause_logged = True
+        return ok
+
+    def add_clause_buffer(self, buf) -> bool:
+        """Add every clause of a clause buffer in one call into the core.
+
+        The core validates the whole buffer first, so a malformed buffer
+        raises and adds nothing.  Returns ``False`` if the formula is
+        trivially UNSAT afterwards.
+        """
+        self._core.add_clause_buffer(buf)
+        if self._crosscheck:
+            self._clause_log.extend(buf)
+        return self._core.ok
 
     def add_clauses(self, clauses: list[list[int]]) -> bool:
         """Add several clauses; return ``False`` if any made the formula UNSAT."""
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
+        return self.add_clause_buffer(clausebuf.pack(clauses))
 
     def num_clauses(self) -> int:
         return self._core.num_problem
@@ -248,7 +267,7 @@ class NativeSatSolver:
         """Replay a native answer through the pure-Python reference core."""
         if result.is_sat:
             model = result.model
-            for clause in self._clause_log:
+            for clause in clausebuf.decode(self._clause_log):
                 satisfied = any(
                     model.get(abs(literal), False) is (literal > 0)
                     for literal in clause
@@ -269,8 +288,9 @@ class NativeSatSolver:
             from repro.sat.solver import SatSolver
 
             reference = SatSolver()
-            for clause in self._clause_log:
-                reference.add_clause(clause)
+            reference.add_clause_buffer(self._clause_log)
+            if self._empty_clause_logged:
+                reference.add_clause([])
             replay = reference.solve(assumptions=assumptions or None,
                                      time_budget=time_budget,
                                      conflict_budget=conflict_budget)

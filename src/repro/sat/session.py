@@ -11,9 +11,13 @@ faster as the session warms up.
 
 :class:`ClauseSink` is the structural protocol for "something clauses can be
 streamed into": both :class:`SatSession` and
-:class:`repro.maxsat.wcnf.WcnfBuilder` satisfy it, which lets the QMR encoder
-emit clauses directly into a live solver while it encodes instead of
-materialising a list that a strategy later copies back in.
+:class:`repro.maxsat.wcnf.WcnfBuilder` satisfy it.  Clauses travel in bulk:
+``add_clause_buffer`` takes one clause buffer (a length-prefixed
+``array('i')``, see :mod:`repro.sat.clausebuf`) per batch, so the QMR
+encoder hands each component of its formula -- a SWAP slot, one step's
+injectivity constraints, one gate's adjacency -- to a live solver in a
+single call while it encodes, instead of one Python call chain per clause
+or a list that a strategy later copies back in.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, default_registry
+from repro.sat import clausebuf
 from repro.sat.backends import create_solver, resolve_backend
 from repro.sat.solver import SolveResult
 
 
 @runtime_checkable
 class ClauseSink(Protocol):
-    """Anything that can allocate variables and ingest streamed hard clauses."""
+    """Anything that can allocate variables and ingest hard-clause batches."""
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable index."""
@@ -37,8 +42,8 @@ class ClauseSink(Protocol):
     def ensure_vars(self, max_var: int) -> None:
         """Make sure all variables up to ``max_var`` exist."""
 
-    def add_hard(self, clause: list[int]) -> None:
-        """Ingest one hard clause."""
+    def add_clause_buffer(self, buf) -> object:
+        """Validate a whole clause buffer, then ingest its clauses in order."""
 
 
 @dataclass
@@ -86,10 +91,19 @@ class SatSession:
         """Make sure all variables up to ``max_var`` exist."""
         self.solver.ensure_vars(max_var)
 
+    def add_clause_buffer(self, buf) -> bool:
+        """Stream one batch of hard clauses into the live solver.
+
+        Returns ``False`` if the formula is trivially UNSAT afterwards.
+        """
+        count, _ = clausebuf.scan(buf)
+        ok = self.solver.add_clause_buffer(buf)
+        self.stats.clauses_streamed += count
+        return ok
+
     def add_hard(self, clause: list[int]) -> bool:
-        """Stream one hard clause into the live solver."""
-        self.stats.clauses_streamed += 1
-        return self.solver.add_clause(clause)
+        """Stream one hard clause into the live solver (a one-clause batch)."""
+        return self.add_clause_buffer(clausebuf.pack([clause]))
 
     # Alias so the session can stand in wherever a raw solver was expected.
     add_clause = add_hard

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.obs import trace as obs_trace
+from repro.sat import clausebuf
 from repro.sat.assignment import Trail
 from repro.sat.clause import Clause, ClauseDatabase
 from repro.sat.literals import neg, var_of
@@ -195,6 +196,28 @@ class SatSolver:
         """
         if not self._ok:
             return False
+        return self._add_literals(literals)
+
+    def add_clause_buffer(self, buf) -> bool:
+        """Add every clause of a clause buffer (see :mod:`repro.sat.clausebuf`).
+
+        The whole buffer is validated before any clause is added, so a
+        malformed buffer raises and leaves the solver unchanged.  Returns
+        ``False`` if the formula is trivially UNSAT afterwards.
+        """
+        clauses = clausebuf.decode(buf)
+        for clause in clauses:
+            if not self._ok:
+                break
+            self._add_literals(clause)
+        return self._ok
+
+    def add_clauses(self, clauses: list[list[int]]) -> bool:
+        """Add several clauses; return ``False`` if any made the formula UNSAT."""
+        return self.add_clause_buffer(clausebuf.pack(clauses))
+
+    def _add_literals(self, literals) -> bool:
+        """Simplify and store one clause (the formula is still satisfiable)."""
         seen: set[int] = set()
         simplified: list[int] = []
         for literal in literals:
@@ -224,13 +247,6 @@ class SatSolver:
         self.database.add_problem_clause(clause)
         self._watch_clause(clause)
         return True
-
-    def add_clauses(self, clauses: list[list[int]]) -> bool:
-        """Add several clauses; return ``False`` if any made the formula UNSAT."""
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
 
     def _enqueue_root_unit(self, literal: int) -> bool:
         value = self.trail.value_of_literal(literal)

@@ -5,6 +5,8 @@ order of recovery attempts: backtracking until the budget is spent, then
 leading-slot doubling up to the graph diameter, then per-gate escalation.
 """
 
+import pytest
+
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import cx
 from repro.core.result import RoutingResult, RoutingStatus
@@ -34,6 +36,8 @@ class ScriptedRouter:
         self.name = "scripted"
         self.unsat_while = unsat_while
         self.calls: list[dict] = []
+        #: Stage timings every scripted attempt reports.
+        self.timings: dict[str, float] = {}
 
     def solve_monolithic(self, circuit, architecture, time_budget,
                          fixed_initial_mapping=None,
@@ -50,7 +54,7 @@ class ScriptedRouter:
         if fixed_initial_mapping is not None and self.unsat_while(call):
             return MonolithicOutcome(RoutingResult(
                 status=RoutingStatus.UNSATISFIABLE, router_name=self.name,
-                circuit_name=circuit.name))
+                circuit_name=circuit.name, stage_timings=dict(self.timings)))
         identity = {q: q for q in range(architecture.num_qubits)}
         return MonolithicOutcome(RoutingResult(
             status=RoutingStatus.OPTIMAL, router_name=self.name,
@@ -58,6 +62,7 @@ class ScriptedRouter:
             initial_mapping=dict(fixed_initial_mapping or identity),
             final_mapping=dict(fixed_initial_mapping or identity),
             routed_circuit=QuantumCircuit(architecture.num_qubits),
+            stage_timings=dict(self.timings),
         ))
 
 
@@ -127,3 +132,46 @@ class TestLeadingSlotEscalation:
         assert result.backtracks == 0
         verify_routing(circuit, result.routed_circuit, result.initial_mapping,
                        arch)
+
+
+class TestStageTimingsCoverEveryAttempt:
+    def test_backtracked_and_escalated_attempts_are_charged(self):
+        arch = line_architecture(5)
+        attempts = {"n": 0}
+
+        def unsat_while(call):
+            attempts["n"] += 1
+            return attempts["n"] <= 3
+
+        router = ScriptedRouter(arch, backtrack_limit=2,
+                                unsat_while=unsat_while)
+        router.timings = {"encode": 0.25, "solve": 1.0}
+        result = route_sliced(two_slice_circuit(), arch, router)
+        assert result.solved and result.backtracks == 2
+        assert len(router.calls) > result.num_slices
+        assert result.stage_timings["encode"] == pytest.approx(
+            0.25 * len(router.calls))
+        assert result.stage_timings["solve"] == pytest.approx(
+            1.0 * len(router.calls))
+
+    def test_real_router_reports_encode_of_all_attempts(self, monkeypatch):
+        from repro.core import SatMapRouter
+
+        circuit = QuantumCircuit(
+            5, [cx(0, 1), cx(3, 4), cx(0, 4), cx(1, 3), cx(0, 3), cx(2, 4)],
+            name="hard_handoffs")
+        arch = line_architecture(5)
+        router = SatMapRouter(slice_size=2, time_budget=120, backtrack_limit=0)
+        encode_seconds: list[float] = []
+        solve_monolithic = SatMapRouter.solve_monolithic
+
+        def recording(self, *args, **kwargs):
+            outcome = solve_monolithic(self, *args, **kwargs)
+            encode_seconds.append(outcome.result.stage_timings["encode"])
+            return outcome
+
+        monkeypatch.setattr(SatMapRouter, "solve_monolithic", recording)
+        result = router.route(circuit, arch)
+        assert result.solved
+        assert len(encode_seconds) > result.num_slices  # escalation retried
+        assert result.stage_timings["encode"] >= sum(encode_seconds) * (1 - 1e-9)

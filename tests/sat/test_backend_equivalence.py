@@ -12,12 +12,15 @@ is not built, so the file passes on a wheel installed without a C
 toolchain -- the fallback behaviour itself is tested unconditionally.
 """
 
+import pickle
 import random
+from array import array
 
 import pytest
 
 from repro.maxsat import MaxSatSolver, MaxSatStatus, WcnfBuilder
 from repro.sat import SatSession, SatSolver
+from repro.sat.clausebuf import pack
 from repro.sat.backends import (
     BACKEND_ENV,
     CROSSCHECK_ENV,
@@ -284,6 +287,32 @@ class TestCrossCheck:
             saw_unsat |= not result.is_sat
         assert saw_sat and saw_unsat, "sweep should exercise both verdicts"
 
+    @pytest.mark.parametrize("lie", ["model", "verdict"])
+    def test_crosscheck_catches_lies_about_bulk_clauses(self, monkeypatch, lie):
+        from repro.sat.native import CrossCheckError
+
+        class LyingCore:
+            """Delegates to the real core but misreports the search."""
+
+            def __init__(self, core):
+                self._core = core
+
+            def __getattr__(self, name):
+                return getattr(self._core, name)
+
+            def get_model(self):  # every variable false
+                return bytes(self._core.num_vars + 1)
+
+            def search(self, *args):
+                return 1 if lie == "model" else -1
+
+        monkeypatch.setenv(CROSSCHECK_ENV, "1")
+        session = SatSession(backend="native")
+        session.add_clause_buffer(pack([[1, 2], [1], [-2, 3]]))
+        session.solver._core = LyingCore(session.solver._core)
+        with pytest.raises(CrossCheckError):
+            session.solve()
+
     def test_crosscheck_covers_assumption_cores(self, monkeypatch):
         monkeypatch.setenv(CROSSCHECK_ENV, "1")
         session = SatSession(backend="native")
@@ -291,3 +320,135 @@ class TestCrossCheck:
         result = session.solve(assumptions=[1, 2])
         assert not result.is_sat
         assert set(map(abs, result.core)) <= {1, 2}
+
+
+def usable_backends() -> list[str]:
+    return ["python", "native"] if native_available() else ["python"]
+
+
+#: Malformed clause buffers, each after a valid prefix that would grow the
+#: variable count and flip ``ok`` if it were ingested before validation.
+VALID_PREFIX = [3, 7, 8, 9, 1, 1]
+MALFORMED_BUFFERS = {
+    "zero-length": array("i", VALID_PREFIX + [0]),
+    "negative-length": array("i", VALID_PREFIX + [-2, 1, 2]),
+    "zero-literal": array("i", VALID_PREFIX + [2, 1, 0]),
+    "truncated-prefix": array("i", VALID_PREFIX + [3, 1, 2]),
+    "short-items": array("h", VALID_PREFIX),
+    "wide-items": array("q", VALID_PREFIX),
+    "float-items": array("f", VALID_PREFIX),
+    "raw-bytes": array("i", VALID_PREFIX).tobytes(),
+    "plain-list": list(VALID_PREFIX),
+    "literal-too-large": array("i", VALID_PREFIX + [1, 2 ** 30]),
+    "literal-too-small": array("i", VALID_PREFIX + [1, -(2 ** 31)]),
+}
+EXPECTED_ERROR = {
+    "zero-length": ValueError, "negative-length": ValueError,
+    "zero-literal": ValueError, "truncated-prefix": ValueError,
+    "short-items": TypeError, "wide-items": TypeError,
+    "float-items": TypeError, "raw-bytes": TypeError, "plain-list": TypeError,
+    "literal-too-large": OverflowError, "literal-too-small": OverflowError,
+}
+
+
+def loaded_solver(backend: str):
+    solver = create_solver(backend)
+    solver.add_clause_buffer(array("i", [2, 1, 2, 1, -1]))
+    return solver
+
+
+def solver_state(solver) -> tuple:
+    return solver.num_clauses(), solver.num_vars, solver.ok
+
+
+class TestClauseBufferValidation:
+    """Both cores validate a whole clause buffer before ingesting any of it."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUFFERS))
+    @pytest.mark.parametrize("backend", usable_backends())
+    def test_malformed_buffer_is_rejected_atomically(self, backend, case):
+        solver = loaded_solver(backend)
+        before = solver_state(solver)
+        with pytest.raises(EXPECTED_ERROR[case]):
+            solver.add_clause_buffer(MALFORMED_BUFFERS[case])
+        assert solver_state(solver) == before
+        assert solver.solve().is_sat
+
+    @needs_native
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUFFERS))
+    def test_both_cores_reject_identically(self, case):
+        errors = {}
+        for backend in ("python", "native"):
+            with pytest.raises(Exception) as caught:
+                loaded_solver(backend).add_clause_buffer(MALFORMED_BUFFERS[case])
+            errors[backend] = (caught.type, str(caught.value))
+        assert errors["python"] == errors["native"]
+
+    @pytest.mark.parametrize("python_scan", [False, True])
+    @pytest.mark.parametrize("case", ["zero-length", "zero-literal",
+                                      "truncated-prefix", "short-items",
+                                      "literal-too-large"])
+    def test_builder_and_session_reject_atomically(self, monkeypatch, case,
+                                                   python_scan):
+        if python_scan:
+            monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
+        session = SatSession()
+        builder = WcnfBuilder()
+        builder.attach_sink(session)
+        builder.add_clause_buffer(array("i", [2, 1, 2, 1, -1]))
+        before = (builder.num_hard, builder.hard_words, builder.num_vars,
+                  session.stats.clauses_streamed, solver_state(session.solver))
+        with pytest.raises(EXPECTED_ERROR[case]):
+            builder.add_clause_buffer(MALFORMED_BUFFERS[case])
+        with pytest.raises(EXPECTED_ERROR[case]):
+            session.add_clause_buffer(MALFORMED_BUFFERS[case])
+        assert (builder.num_hard, builder.hard_words, builder.num_vars,
+                session.stats.clauses_streamed,
+                solver_state(session.solver)) == before
+
+    @pytest.mark.parametrize("backend", usable_backends())
+    def test_buffer_ingest_matches_clause_at_a_time(self, backend):
+        rng = random.Random(2207)
+        for _ in range(20):
+            clauses = random_cnf(rng, rng.randint(4, 14), rng.randint(6, 50))
+            bulk = create_solver(backend)
+            bulk.add_clause_buffer(pack(clauses))
+            single = create_solver(backend)
+            for clause in clauses:
+                single.add_clause(clause)
+            assert solver_state(bulk) == solver_state(single)
+            assert bulk.solve().status is single.solve().status
+
+
+class TestSliceContextPickling:
+    """Pickled slice contexts (pipelined slicing) replay one clause buffer."""
+
+    @pytest.mark.parametrize("backend", usable_backends())
+    def test_round_trip_keeps_formula_and_verdicts(self, backend):
+        from repro.circuits.random_circuits import random_circuit
+        from repro.core.satmap import SatMapRouter, _instance_key
+        from repro.hardware.topologies import line_architecture
+
+        circuit = random_circuit(4, 6, seed=3)
+        arch = line_architecture(5)
+        router = SatMapRouter(slice_size=None, solver_backend=backend)
+        pinned = {qubit: qubit for qubit in range(circuit.num_qubits)}
+        context = router._build_context(
+            circuit, arch, _instance_key(circuit, arch), pinned, False, 1, None)
+        clone = pickle.loads(pickle.dumps(context))
+
+        assert clone.session.backend == backend
+        assert (clone.session.solver.num_clauses()
+                == context.session.solver.num_clauses() > 0)
+        assert clone.encoding.num_hard_clauses == context.encoding.num_hard_clauses
+        clashing = (context.encoding.initial_mapping_assumptions({0: 2})
+                    + context.encoding.initial_mapping_assumptions({1: 2}))
+        for assumptions, expect_sat in ((None, True), (clashing, False)):
+            for ctx in (context, clone):
+                assert ctx.session.solve(assumptions=assumptions).is_sat is expect_sat
+        costs = [router.solve_monolithic(circuit, arch, 60,
+                                         fixed_initial_mapping=pinned,
+                                         leading_slots=1,
+                                         context=ctx).result.swap_count
+                 for ctx in (context, clone)]
+        assert costs[0] == costs[1]
