@@ -27,7 +27,7 @@ from repro.circuits.ir import CircuitIR
 class QuantumCircuit:
     """An ordered list of gates over ``num_qubits`` logical qubits."""
 
-    __slots__ = ("num_qubits", "name", "_ir", "_gates_cache")
+    __slots__ = ("num_qubits", "name", "_ir", "_gates_cache", "_qasm")
 
     def __init__(self, num_qubits: int,
                  gates: Iterable[Gate] | None = None,
@@ -38,6 +38,8 @@ class QuantumCircuit:
         self.name = name
         self._ir = CircuitIR()
         self._gates_cache: list[Gate] | None = None
+        #: Memoised QASM rendering (see :func:`repro.circuits.qasm.circuit_to_qasm`).
+        self._qasm: tuple | None = None
         if gates is not None:
             self.extend(gates)
 
@@ -52,6 +54,7 @@ class QuantumCircuit:
         circuit.name = name
         circuit._ir = ir
         circuit._gates_cache = None
+        circuit._qasm = None
         return circuit
 
     @property
@@ -249,6 +252,7 @@ class QuantumCircuit:
         self.name = state["name"]
         self._ir = state["ir"]
         self._gates_cache = None
+        self._qasm = None
 
     def __repr__(self) -> str:
         return (

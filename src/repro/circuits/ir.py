@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 from repro.circuits.gates import KNOWN_GATES
 
@@ -91,6 +92,28 @@ class CircuitIR:
         #: bulk-extend fast path, which validates once instead of per gate.
         self.max_qubit = -1
 
+    @classmethod
+    def from_columns(cls, op: Iterable[int], qa: Iterable[int], qb: Iterable[int],
+                     params: dict[int, tuple[str, ...]] | None = None) -> "CircuitIR":
+        """A root IR over ready-made columns (opcodes already interned).
+
+        The prefix columns are derived in bulk rather than gate by gate; the
+        QASM reader and unpickling build their IRs this way.
+        """
+        ir = cls.__new__(cls)
+        ir.op = array("i", op)
+        ir.qa = array("i", qa)
+        ir.qb = array("i", qb)
+        ir.pos2q = array("i", [index for index, b in enumerate(ir.qb) if b >= 0])
+        ir.cum2q = array("i", accumulate((b >= 0 for b in ir.qb), initial=0))
+        ir.cumswap = array("i", accumulate((code == SWAP_OP for code in ir.op),
+                                           initial=0))
+        ir.params = dict(params) if params else {}
+        ir.start = 0
+        ir._stop = None
+        ir.max_qubit = max(max(ir.qa, default=-1), max(ir.qb, default=-1))
+        return ir
+
     # ----------------------------------------------------------------- window
 
     @property
@@ -130,16 +153,21 @@ class CircuitIR:
         fresh.op = self.op[start:stop]
         fresh.qa = self.qa[start:stop]
         fresh.qb = self.qb[start:stop]
-        base2q = self.cum2q[start]
-        baseswap = self.cumswap[start]
-        fresh.cum2q = array("i", [value - base2q
-                                  for value in self.cum2q[start:stop + 1]])
-        fresh.cumswap = array("i", [value - baseswap
-                                    for value in self.cumswap[start:stop + 1]])
         lo = bisect_left(self.pos2q, start)
         hi = bisect_left(self.pos2q, stop)
-        fresh.pos2q = array("i", [position - start
-                                  for position in self.pos2q[lo:hi]])
+        if start == 0:  # nothing to rebase: plain array copies
+            fresh.cum2q = self.cum2q[:stop + 1]
+            fresh.cumswap = self.cumswap[:stop + 1]
+            fresh.pos2q = self.pos2q[lo:hi]
+        else:
+            base2q = self.cum2q[start]
+            baseswap = self.cumswap[start]
+            fresh.cum2q = array("i", [value - base2q
+                                      for value in self.cum2q[start:stop + 1]])
+            fresh.cumswap = array("i", [value - baseswap
+                                        for value in self.cumswap[start:stop + 1]])
+            fresh.pos2q = array("i", [position - start
+                                      for position in self.pos2q[lo:hi]])
         fresh.params = {index - start: value
                         for index, value in self.params.items()
                         if start <= index < stop}
@@ -314,22 +342,26 @@ class CircuitIR:
     # ---------------------------------------------------------------- pickling
 
     def __getstate__(self) -> dict:
-        window = self if not self.is_view else None
-        source = window if window is not None else self.compact()
+        """Columns plus the names of the opcodes they use.
+
+        Opcodes are process-local, so the ``op`` column travels with its
+        own small code -> name table and is re-interned on load.
+        """
+        source = self.compact() if self.is_view else self
         return {
-            "names": [opcode_name(code) for code in source.op],
+            "names": {code: opcode_name(code) for code in set(source.op)},
+            "op": source.op,
             "qa": source.qa,
             "qb": source.qb,
             "params": source.params,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        qa, qb, params = state["qa"], state["qb"], state["params"]
-        for index, name in enumerate(state["names"]):
-            b = qb[index]
-            qubits = (qa[index],) if b < 0 else (qa[index], b)
-            self.append(name, qubits, params.get(index, _EMPTY_PARAMS))
+        local = {code: opcode(name) for code, name in state["names"].items()}
+        fresh = CircuitIR.from_columns([local[code] for code in state["op"]],
+                                       state["qa"], state["qb"], state["params"])
+        for slot in CircuitIR.__slots__:
+            setattr(self, slot, getattr(fresh, slot))
 
 
 __all__ = [

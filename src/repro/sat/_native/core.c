@@ -96,6 +96,7 @@ typedef struct {
     int trail_size;
     int *trail_lim;
     int trail_lim_size;
+    int level_cap;         /* capacity of trail_lim and lbd_stamp (by level) */
     int qhead;
     double var_inc, var_decay, cla_inc, cla_decay, max_learnt_ratio;
     long long conflicts, decisions, propagations, learnt_total, deleted_total;
@@ -262,12 +263,10 @@ static int ensure_var_cap(Core *s, int max_var)
         GROW(seen, unsigned char);
         GROW(mark, unsigned char);
         GROW(visited, unsigned char);
-        GROW(lbd_stamp, int);
         GROW(activity, double);
         GROW(heap, int);
         GROW(heap_pos, int);
         GROW(trail, int);
-        GROW(trail_lim, int);
         GROW(model, signed char);
 #undef GROW
         {
@@ -295,7 +294,6 @@ static int ensure_var_cap(Core *s, int max_var)
         for (v = s->var_cap; v < ncap; v++) {
             s->levels[v] = 0;
             s->reasons[v] = CREF_UNDEF;
-            s->lbd_stamp[v] = 0;
             s->activity[v] = 0.0;
             s->heap_pos[v] = -1;
         }
@@ -304,6 +302,34 @@ static int ensure_var_cap(Core *s, int max_var)
     for (v = s->num_vars + 1; v <= max_var; v++)
         heap_push(s, v);
     s->num_vars = max_var;
+    return 0;
+}
+
+/* Level-indexed arrays (trail_lim, lbd_stamp).  Every assumption opens a
+ * decision level, even one that is already true, and every other decision
+ * assigns an unassigned variable, so a search never opens more than
+ * num_vars + n_assumptions levels: size for that many plus level 0. */
+static int ensure_level_cap(Core *s)
+{
+    int need = s->num_vars + s->n_assumptions + 1;
+    int ncap, i;
+    int *nl;
+    if (need <= s->level_cap)
+        return 0;
+    ncap = s->level_cap ? s->level_cap : 16;
+    while (ncap < need)
+        ncap *= 2;
+    nl = (int *)realloc(s->trail_lim, (size_t)ncap * sizeof(int));
+    if (nl == NULL)
+        return -1;
+    s->trail_lim = nl;
+    nl = (int *)realloc(s->lbd_stamp, (size_t)ncap * sizeof(int));
+    if (nl == NULL)
+        return -1;
+    s->lbd_stamp = nl;
+    for (i = s->level_cap; i < ncap; i++)
+        s->lbd_stamp[i] = 0;
+    s->level_cap = ncap;
     return 0;
 }
 
@@ -903,6 +929,7 @@ static PyObject *Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->trail_size = 0;
     s->trail_lim = NULL;
     s->trail_lim_size = 0;
+    s->level_cap = 0;
     s->qhead = 0;
     s->var_inc = 1.0;
     s->var_decay = 0.95;
@@ -1284,6 +1311,8 @@ static PyObject *Core_prepare_solve(Core *s, PyObject *arg)
         s->n_assumptions = (int)n;
         Py_DECREF(seq);
     }
+    if (ensure_level_cap(s) < 0)
+        return PyErr_NoMemory();
     s->have_model = 0;
     backtrack(s, 0);
     Py_BEGIN_ALLOW_THREADS
@@ -1306,6 +1335,8 @@ static PyObject *Core_search(Core *s, PyObject *args)
     if (!PyArg_ParseTuple(args, "LLd", &max_conflicts, &conflict_budget,
                           &time_budget))
         return NULL;
+    if (ensure_level_cap(s) < 0)  /* prepare_solve sized it; stay safe */
+        return PyErr_NoMemory();
     Py_BEGIN_ALLOW_THREADS
     status = search(s, max_conflicts, conflict_budget, time_budget);
     Py_END_ALLOW_THREADS

@@ -314,6 +314,7 @@ class RoutingGateway:
 
     def _finish(self, record: JobRecord, result: RoutingResult | None,
                 error: str | None = None) -> None:
+        record.job.release()  # the record keeps the text; the memo is spent
         record.result = result
         record.error = error
         record.status = "done"

@@ -20,6 +20,8 @@ Design rules:
   shipped as the same payload :mod:`repro.service.cache` stores on disk
   (:func:`result_to_payload`), so the client can rebuild a full
   :class:`~repro.core.result.RoutingResult` -- routed circuit included.
+  The routed circuit's text is rendered once per result and reused by every
+  response and the disk entry.
 
 Submit request schema (``POST /v1/jobs``)::
 
@@ -191,7 +193,9 @@ def parse_submit(payload: Mapping,
     canonicalises the QASM text and validates the spec against the registry
     schemas -- so any two requests describing the same work hash identically
     no matter how they were spelled, and misconfigured requests fail here
-    with a :class:`ProtocolError` instead of inside a worker.
+    with a :class:`ProtocolError` instead of inside a worker.  This is the
+    one parse of the submitted text: the job memoises the parsed circuit
+    for the worker and the cache (see :mod:`repro.service.jobs`).
     """
     if not isinstance(payload, Mapping):
         raise ProtocolError("request body must be a JSON object")

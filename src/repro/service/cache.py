@@ -14,6 +14,15 @@ job's own circuit and architecture on every load, and results are verified
 again before being stored.  A corrupted, tampered, or stale entry therefore
 degrades to a cache miss (and is evicted) instead of propagating a wrong
 answer -- crucial because the on-disk layer is plain JSON anyone can edit.
+
+The job's circuit is its memoised one when it has a memo (see
+:mod:`repro.service.jobs`), which saves a parse without weakening the check:
+the memo is only taken for circuits that parse back from the job's own text
+unchanged, so the verifier still checks against exactly what the content
+hash names, and the result under test is never the source of it.  A stored
+payload renders the routed circuit through the memoised
+:func:`~repro.circuits.qasm.circuit_to_qasm`, so the disk entry and every
+response built from the same result share one rendering.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ try:  # POSIX file locking; absent on some platforms -- degrade to no-op
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qasm import circuit_to_qasm, parse_qasm
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.core.verifier import verify_routing
@@ -76,8 +86,15 @@ class _DirectoryLock:
             self._local.handle = None
 
 
-def result_to_payload(result: RoutingResult) -> dict:
-    """Flatten a solved :class:`RoutingResult` to a JSON-serialisable dict."""
+def result_to_payload(result: RoutingResult, routed_qasm: bool = True) -> dict:
+    """Flatten a solved :class:`RoutingResult` to a JSON-serialisable dict.
+
+    The routed circuit is rendered through the memoised
+    :func:`~repro.circuits.qasm.circuit_to_qasm`, so the disk entry and every
+    response built from one result share a single rendering.  With
+    ``routed_qasm=False`` the ``routed_qasm`` field is left ``None``: the
+    worker pool ships the routed circuit beside the payload as IR columns.
+    """
     if result.routed_circuit is None:
         raise ValueError("only results with a routed circuit can be serialised")
     return {
@@ -87,7 +104,8 @@ def result_to_payload(result: RoutingResult) -> dict:
         "circuit_name": result.circuit_name,
         "initial_mapping": {str(k): v for k, v in result.initial_mapping.items()},
         "final_mapping": {str(k): v for k, v in result.final_mapping.items()},
-        "routed_qasm": circuit_to_qasm(result.routed_circuit),
+        "routed_qasm": (circuit_to_qasm(result.routed_circuit)
+                        if routed_qasm else None),
         "routed_num_qubits": result.routed_circuit.num_qubits,
         "swap_count": result.swap_count,
         "solve_time": result.solve_time,
@@ -104,14 +122,21 @@ def result_to_payload(result: RoutingResult) -> dict:
     }
 
 
-def payload_to_result(payload: dict) -> RoutingResult:
+def payload_to_result(payload: dict,
+                      routed: QuantumCircuit | None = None) -> RoutingResult:
     """Rebuild a :class:`RoutingResult` from :func:`result_to_payload` output.
 
-    Raises on malformed payloads; callers treat any exception as a miss.
+    ``routed`` supplies the routed circuit when it travelled as IR beside the
+    payload; otherwise it is parsed from ``routed_qasm``.  Raises on
+    malformed payloads; callers treat any exception as a miss.
     """
     if payload.get("version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"cache format version mismatch: {payload.get('version')}")
-    routed = parse_qasm(payload["routed_qasm"], name=payload["circuit_name"])
+    if routed is None:
+        routed = parse_qasm(payload["routed_qasm"], name=payload["circuit_name"])
+    else:
+        routed = QuantumCircuit.from_ir(routed.num_qubits, routed.ir,
+                                        name=payload["circuit_name"])
     return RoutingResult(
         status=RoutingStatus(payload["status"]),
         router_name=payload["router_name"],

@@ -6,6 +6,20 @@ canonical OpenQASM 2.0 text and the architecture as its edge list, so a job
 can cross a process boundary (``pickle`` for the worker pool) or be hashed
 into a stable cache key without depending on object identity.
 
+How circuits travel: the text is the job's identity, not its working form.
+A job built by :meth:`RoutingJob.from_circuit` (which the gateway's
+``parse_submit`` calls right after its one parse) also memoises the circuit
+it was built from, as flat IR columns, and the :class:`Architecture` object.
+The memo rides along through :meth:`~RoutingJob.with_router` and through
+pickling to a pool worker, so neither the worker nor the cache's
+re-verification parses the QASM again; :meth:`~RoutingJob.circuit` hands out
+a fresh circuit over copied columns each call.  The memo is kept out of the
+content hash, equality and ``repr``, and only taken when the circuit is
+exactly what its own text parses back to
+(:func:`~repro.circuits.qasm.qasm_round_trips`), so a job answers the same
+with or without it.  :meth:`~RoutingJob.release` drops it once the job is
+done.
+
 The content hash covers what the job itself pins down -- circuit text,
 architecture shape, router name, and router options -- and nothing that
 does not matter (display names, submission order).  Execution-time
@@ -23,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.api.spec import RouterSpec
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.qasm import circuit_to_qasm, parse_qasm
+from repro.circuits.qasm import circuit_to_qasm, parse_qasm, qasm_round_trips
 from repro.hardware.architecture import Architecture
 
 #: Bump when the payload layout changes so stale cache entries never alias.
@@ -68,6 +82,10 @@ class RoutingJob:
     trace_context: dict | None = field(default=None, repr=False, compare=False)
     _hash: str | None = field(default=None, repr=False, compare=False)
     _cost: float | None = field(default=None, repr=False, compare=False)
+    #: The circuit and architecture this job was built from (see the module
+    #: docstring); ``None`` when the job only has its text.
+    _memo: tuple[QuantumCircuit, Architecture] | None = field(
+        default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------- builders
 
@@ -103,6 +121,8 @@ class RoutingJob:
             router=spec.name,
             options=dict(spec.options),
             name=name or circuit.name,
+            _memo=((circuit.copy(), architecture)
+                   if qasm_round_trips(circuit) else None),
         )
 
     @classmethod
@@ -120,13 +140,27 @@ class RoutingJob:
     # ---------------------------------------------------------- reconstruct
 
     def circuit(self) -> QuantumCircuit:
-        """Materialise the logical circuit (fresh object each call)."""
+        """Materialise the logical circuit (fresh object each call).
+
+        From the memo when there is one (a copy of its columns), otherwise
+        by parsing the job's text.
+        """
+        if self._memo is not None:
+            circuit = self._memo[0]
+            return QuantumCircuit.from_ir(circuit.num_qubits, circuit.ir.compact(),
+                                          name=self.name)
         return parse_qasm(self.qasm, name=self.name)
 
     def architecture(self) -> Architecture:
-        """Materialise the connectivity graph (fresh object each call)."""
+        """The connectivity graph: the memoised object, else a fresh one."""
+        if self._memo is not None:
+            return self._memo[1]
         return Architecture(self.arch_num_qubits, [tuple(e) for e in self.arch_edges],
                             name=self.arch_name)
+
+    def release(self) -> None:
+        """Drop the memoised circuit and architecture (the text stays)."""
+        self._memo = None
 
     def spec(self) -> RouterSpec:
         """This job's router selection as a declarative spec."""
@@ -145,7 +179,8 @@ class RoutingJob:
         return RoutingJob(qasm=self.qasm, arch_num_qubits=self.arch_num_qubits,
                           arch_edges=self.arch_edges, arch_name=self.arch_name,
                           router=router, options=dict(options or {}),
-                          name=self.name, trace_context=self.trace_context)
+                          name=self.name, trace_context=self.trace_context,
+                          _memo=self._memo)
 
     def with_spec(self, spec: str | dict | RouterSpec) -> "RoutingJob":
         """The same work item behind a different router spec."""

@@ -4,9 +4,9 @@ The pool executes :class:`~repro.service.jobs.RoutingJob`\\ s via a
 ``concurrent.futures`` executor.  Three modes:
 
 * ``process`` -- ``ProcessPoolExecutor``; true parallelism for the CPU-bound
-  SAT search.  Jobs and results cross the boundary as plain data (the job is
-  a picklable dataclass, the result travels as the JSON payload from
-  :mod:`repro.service.cache`).
+  SAT search.  Jobs and results cross the boundary as plain data: the job is
+  a picklable dataclass carrying its memoised circuit and architecture, and
+  the outcome is a dict (see :func:`execute_job`).
 * ``thread`` -- ``ThreadPoolExecutor``; GIL-bound but useful when processes
   are unavailable (restricted sandboxes) or for I/O-ish workloads.
 * ``serial`` -- execute inline in submission order; the reference behaviour
@@ -14,6 +14,15 @@ The pool executes :class:`~repro.service.jobs.RoutingJob`\\ s via a
 
 ``auto`` picks ``process`` when more than one CPU is visible and falls back
 gracefully (process -> thread -> serial) if an executor cannot be created.
+
+Outcome transport: a solved result travels as the cache payload of
+:mod:`repro.service.cache` without its ``routed_qasm`` text, plus the routed
+circuit itself, which pickles as flat IR columns.  The worker neither parses
+the job's QASM (the job's memo supplies the circuit) nor renders the routed
+circuit; the parent renders it once, when the cache entry or the first
+response needs the text.  A routed circuit that the text form would change
+(see :func:`~repro.circuits.qasm.qasm_round_trips`) travels as text instead,
+so every mode yields the result a QASM round trip would.
 
 Timeout semantics are *graceful*: every router in this repository is anytime
 (it returns its best solution when the budget expires), so the per-job budget
@@ -32,6 +41,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable
 
 from repro.api.registry import display_name, get_router
+from repro.circuits.qasm import qasm_round_trips
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.obs import trace as obs_trace
 from repro.service.cache import payload_to_result, result_to_payload
@@ -77,7 +87,8 @@ def execute_job(job: RoutingJob, time_budget: float, fallback: bool = True) -> d
     """Run one job to completion inside a worker; returns a picklable outcome.
 
     The outcome dict has ``solved``, ``status``, ``router_name``, ``notes``,
-    ``solve_time``, and -- when solved -- the serialised result ``payload``.
+    ``solve_time``, and -- when solved -- the serialised result ``payload``
+    and the ``routed_circuit`` (see the module docstring).
     When ``fallback`` is true and the primary router produced no solution,
     the fallback router's feasible answer is returned instead (annotated so
     callers can see the substitution).
@@ -144,16 +155,22 @@ def _outcome_from_result(job: RoutingJob, result: RoutingResult) -> dict:
         "notes": result.notes,
         "solve_time": result.solve_time,
         "payload": None,
+        "routed_circuit": None,
     }
-    if result.solved and result.routed_circuit is not None:
-        outcome["payload"] = result_to_payload(result)
+    routed = result.routed_circuit
+    if result.solved and routed is not None:
+        if qasm_round_trips(routed):
+            outcome["payload"] = result_to_payload(result, routed_qasm=False)
+            outcome["routed_circuit"] = routed
+        else:  # only the text form gives what a reader of the text would get
+            outcome["payload"] = result_to_payload(result)
     return outcome
 
 
 def outcome_to_result(job: RoutingJob, outcome: dict) -> RoutingResult:
     """Rebuild a :class:`RoutingResult` from a worker outcome dict."""
     if outcome.get("payload") is not None:
-        result = payload_to_result(outcome["payload"])
+        result = payload_to_result(outcome["payload"], outcome["routed_circuit"])
     else:
         result = RoutingResult(
             status=RoutingStatus(outcome.get("status", "error")),

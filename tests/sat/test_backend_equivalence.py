@@ -391,6 +391,9 @@ class TestClauseBufferValidation:
     def test_builder_and_session_reject_atomically(self, monkeypatch, case,
                                                    python_scan):
         if python_scan:
+            # The python scan runs with the extension hidden, so an inherited
+            # native request (CI's native leg exports one) must go too.
+            monkeypatch.delenv(BACKEND_ENV, raising=False)
             monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
         session = SatSession()
         builder = WcnfBuilder()
