@@ -600,8 +600,7 @@ def command_bench_service(args: argparse.Namespace) -> int:
 def command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.server import AdmissionController, RoutingGateway
-    from repro.server.app import serve as serve_gateway
+    from repro.server import AdmissionController, RoutingGateway, serve
 
     _apply_solver_backend(args)
     if args.time_budget <= 0:
@@ -651,7 +650,7 @@ def command_serve(args: argparse.Namespace) -> int:
         print("SIGTERM or ^C drains in-flight jobs before exiting")
 
     try:
-        asyncio.run(serve_gateway(gateway, on_started=announce))
+        asyncio.run(serve(gateway, on_started=announce))
     finally:
         service.close()
     print(service.telemetry.summary())
@@ -662,7 +661,8 @@ def _serve_fleet(args: argparse.Namespace, max_bytes: int | None) -> int:
     """``repro serve --workers N`` for N > 1: the sharded dispatcher fleet."""
     import asyncio
 
-    from repro.cluster import ClusterDispatcher, FleetConfig, serve_fleet
+    from repro.cluster import ClusterDispatcher, FleetConfig
+    from repro.server import serve
 
     config = FleetConfig(
         workers=args.workers,
@@ -697,7 +697,7 @@ def _serve_fleet(args: argparse.Namespace, max_bytes: int | None) -> int:
               f"burst {config.burst:g}, backlog {config.max_pending}")
         print("SIGTERM or ^C drains every worker before exiting")
 
-    asyncio.run(serve_fleet(dispatcher, on_started=announce))
+    asyncio.run(serve(dispatcher, on_started=announce))
     counters = dispatcher.counters
     print(f"fleet served {counters['requests']} requests, dispatched "
           f"{counters['dispatched']} submissions, restarted "

@@ -111,7 +111,7 @@ def worker_main(config: FleetConfig, shard_id: int, conn) -> None:
     import asyncio
     import os
 
-    from repro.server.app import serve
+    from repro.server import serve
 
     # Fleet-wide backend choice: exported before any session is built so the
     # worker's whole solve stack (including its own pool workers, which

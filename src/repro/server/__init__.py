@@ -10,6 +10,10 @@ live in the same Python process:
   deduplicate into one solve;
 * :mod:`repro.server.admission` -- token-bucket quotas per client plus a
   global pending-work bound; overload degrades to 429 + ``Retry-After``;
+* :mod:`repro.server.http` -- the HTTP server core shared with the cluster
+  dispatcher: one connection loop and route table, the common inquiry
+  endpoints and drain, :func:`serve` (SIGTERM/SIGINT drain) and the
+  daemon-thread runner behind ``GatewayThread`` and ``FleetThread``;
 * :mod:`repro.server.app` -- the stdlib asyncio JSON-over-HTTP gateway:
   submit / poll / long-poll / fetch-result job lifecycle, registry and
   device listings, ``/metrics``, and graceful drain on SIGTERM;
@@ -27,7 +31,8 @@ Quick round trip (in-process server thread)::
 """
 
 from repro.server.admission import AdmissionController, AdmissionDecision, TokenBucket
-from repro.server.app import GatewayThread, JobRecord, RoutingGateway, serve
+from repro.server.app import GatewayThread, JobRecord, RoutingGateway
+from repro.server.http import serve
 from repro.server.client import QuotaExceededError, RoutingClient, ServerError
 from repro.server.protocol import WIRE_VERSION, ProtocolError
 

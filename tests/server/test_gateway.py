@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import urllib.error
 import urllib.request
 
 import pytest
@@ -37,11 +36,6 @@ class TestInquiries:
     def test_devices_endpoint_matches_cli_serialiser(self, client):
         assert client.devices() == device_records()
         assert "tokyo8" in client.architectures()
-
-    def test_unknown_endpoint_404(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client._request("GET", "/v1/nope")
-        assert excinfo.value.status == 404
 
 
 class TestJobLifecycle:
@@ -116,6 +110,9 @@ class TestJobLifecycle:
 
 
 class TestBadRequests:
+    # The malformed-HTTP cases shared with the fleet dispatcher live in
+    # test_http_contract.py, parametrised over both servers.
+
     def test_wrong_wire_version_400(self, client):
         with pytest.raises(ServerError) as excinfo:
             client._request("POST", "/v1/jobs",
@@ -123,68 +120,10 @@ class TestBadRequests:
         assert excinfo.value.status == 400
         assert "wire_version" in str(excinfo.value)
 
-    def test_non_json_body_400(self, gateway):
-        request = urllib.request.Request(
-            f"{gateway.url}/v1/jobs", data=b"not json at all",
-            headers={"Content-Type": "application/json"}, method="POST")
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-
     def test_unknown_architecture_400(self, client, circuit):
         with pytest.raises(ServerError) as excinfo:
             client.submit(circuit, architecture="atlantis", router="sabre")
         assert excinfo.value.status == 400
-
-    def test_malformed_request_line_gets_http_400(self, gateway):
-        import socket
-
-        with socket.create_connection(("127.0.0.1", gateway.port),
-                                      timeout=10) as sock:
-            sock.sendall(b"garbage\r\n\r\n")
-            reply = sock.recv(4096)
-        assert reply.startswith(b"HTTP/1.1 400")
-
-    def test_oversized_body_gets_http_413(self, gateway):
-        import socket
-
-        with socket.create_connection(("127.0.0.1", gateway.port),
-                                      timeout=10) as sock:
-            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\n"
-                         b"Content-Length: 99999999999\r\n\r\n")
-            reply = sock.recv(4096)
-        assert reply.startswith(b"HTTP/1.1 413")
-
-    def test_negative_content_length_gets_http_400(self, gateway):
-        import socket
-
-        with socket.create_connection(("127.0.0.1", gateway.port),
-                                      timeout=10) as sock:
-            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\n"
-                         b"Content-Length: -5\r\n\r\n")
-            reply = sock.recv(4096)
-        assert reply.startswith(b"HTTP/1.1 400")
-
-    def test_oversized_header_line_gets_http_400(self, gateway):
-        import socket
-
-        with socket.create_connection(("127.0.0.1", gateway.port),
-                                      timeout=10) as sock:
-            sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Bomb: "
-                         + b"a" * 100_000 + b"\r\n\r\n")
-            reply = sock.recv(4096)
-        assert reply.startswith(b"HTTP/1.1 400")
-
-    def test_header_count_is_capped(self, gateway):
-        import socket
-
-        with socket.create_connection(("127.0.0.1", gateway.port),
-                                      timeout=10) as sock:
-            sock.sendall(b"GET /healthz HTTP/1.1\r\n"
-                         + b"".join(b"X-H%d: v\r\n" % i for i in range(200))
-                         + b"\r\n")
-            reply = sock.recv(4096)
-        assert reply.startswith(b"HTTP/1.1 400")
 
 
 class TestMetricsAndStats:
